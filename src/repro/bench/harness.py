@@ -77,7 +77,6 @@ def _prog_name(app: AppSpec, n: int) -> str:
 
 
 def run_ompi(app: AppSpec, n: int, launch_mode: str = "sample",
-             device: DeviceProperties = JETSON_NANO_GPU,
              binary_mode: str = "cubin",
              fastpath: Optional[str] = None,
              host_fastpath: Optional[str] = None,
@@ -86,7 +85,7 @@ def run_ompi(app: AppSpec, n: int, launch_mode: str = "sample",
                         kernel_fastpath=fastpath,
                         host_fastpath=host_fastpath, profile=profile)
     prog = OmpiCompiler(config).compile(app.omp_source(n), _prog_name(app, n))
-    run = prog.run(device=device, launch_mode=launch_mode,
+    run = prog.run(launch_mode=launch_mode,
                    seed_arrays=app.seed(n),
                    heap_capacity=_heap_capacity(app, n))
     return _finish(app, n, "ompi", run.log), run.machine

@@ -3,8 +3,7 @@
 The host-code analogue of the kernel fast path (``cuda/sim/compile.py``):
 whole loop nests and whole functions of the recognised C subset are lowered
 to vectorized numpy execution plans instead of being tree-walked cell by
-cell.  This generalizes the single-loop vectorizer (``cfront/vectorize.py``,
-which now delegates here) to
+cell.  Beyond single affine loops this covers
 
 * multi-statement loop bodies (several array assignments + reductions),
 * nested loops (outer loops iterate in Python, inner loops run vectorized),

@@ -12,9 +12,9 @@ pointer values can refer to any registered memory space (host heap or
 simulated device global memory — the spaces occupy disjoint address
 ranges, mirroring how a CUDA process sees distinct host/device pointers).
 
-Hot affine loops (array initialisation and similar) are executed through
-:mod:`repro.cfront.vectorize` with numpy, per the HPC guide's
-"vectorize your loops" rule; everything else tree-walks.
+Counted loop nests and small whole functions of the recognised C subset
+run as vectorized numpy plans through :mod:`repro.cfront.hostcompile`
+(the host fast path, ``host_fastpath``); everything else tree-walks.
 """
 
 from __future__ import annotations

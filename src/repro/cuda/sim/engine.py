@@ -42,20 +42,12 @@ class LaunchError(Exception):
 # lane 0, itemsize, active mask) — uint64 wraparound in the deltas is
 # harmless because subtraction mod 2^64 is itself translation-invariant.
 # Keying on that shape turns the per-warp Python segment walk into one dict
-# probe.  REPRO_TXN_MEMO=off restores the direct computation (the bench
-# artifact records the before/after wall time).
+# probe.  Clearing _TXN_MEMO_ENABLED restores the direct computation (the
+# portability bench records the before/after wall time that way).
 _TXN_MEMO: dict = {}
 _TXN_MEMO_CAP = 1 << 16
 _TXN_MEMO_STATS = {"hits": 0, "misses": 0}
-
-
-def _txn_memo_enabled() -> bool:
-    import os
-    return os.environ.get("REPRO_TXN_MEMO", "on").lower() not in (
-        "off", "0", "false")
-
-
-_TXN_MEMO_ENABLED = _txn_memo_enabled()
+_TXN_MEMO_ENABLED = True
 
 
 def transactions_memo(addrs: np.ndarray, itemsize: int,

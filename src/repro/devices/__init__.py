@@ -11,9 +11,10 @@ for the reproduction:
   per-arch timing calibration, and the per-arch *transformation set*
   (the codegen knobs the CUDA kernel builder specialises on);
 * :mod:`repro.devices.registry` — named backends (``nano``, ``nano4gb``,
-  ``tx2``, ``v100``) and the resolution of a heterogeneous registry from
-  an explicit list, the ``REPRO_DEVICES`` environment variable or the
-  ``ompicc --devices`` flag;
+  ``tx2``, ``v100``) and :func:`resolve_registry`, the one resolution of
+  a runtime registry from an explicit list or device count, the
+  ``REPRO_DEVICES``/``REPRO_NUM_DEVICES`` environment variables, or the
+  default single Nano;
 * :mod:`repro.devices.throughput` — the shard planner: contiguous
   block-range apportionment weighted by per-device throughput
   (calibrated hint, refined by observed kernel rates), degrading to the
@@ -23,7 +24,7 @@ for the reproduction:
 from repro.devices.backend import DeviceBackend, XformSet
 from repro.devices.registry import (
     BACKENDS, UnknownBackendError, get_backend, parse_devices,
-    resolve_backends,
+    resolve_registry, track_names,
 )
 from repro.devices.throughput import (
     ThroughputTracker, plan_shards, registry_weights,
@@ -39,5 +40,6 @@ __all__ = [
     "parse_devices",
     "plan_shards",
     "registry_weights",
-    "resolve_backends",
+    "resolve_registry",
+    "track_names",
 ]

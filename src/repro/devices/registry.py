@@ -1,13 +1,14 @@
-"""Named backends and heterogeneous-registry resolution.
+"""Named backends and runtime-registry resolution.
 
 ``BACKENDS`` maps the stable public names (CLI ``--devices``, the
 ``REPRO_DEVICES`` environment variable, the serving API) to their
 :class:`~repro.devices.backend.DeviceBackend`.  A *registry spec* is a
 comma-separated list of those names — ``"nano,v100"`` builds a
 two-device registry whose ``device(0)`` is a Jetson Nano and
-``device(1)`` a V100 — resolved by :func:`resolve_backends` with the
-precedence explicit argument > ``REPRO_DEVICES`` > none (the caller
-keeps its homogeneous ``num_devices`` path).
+``device(1)`` a V100.  :func:`resolve_registry` is the one place a
+runtime registry is resolved: every entry point (``CompiledProgram.run``,
+``OffloadServer``, ``ompicc``) hands it the ``devices``/``num_devices``
+values it was given and gets the backend list back.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ _NANO = make_backend(
 
 BACKENDS: dict[str, DeviceBackend] = {
     "nano": _NANO,
-    # alias kept aligned with the CLI's historical --device choices
+    # the paper's board by its full name: the same backend as "nano"
     "nano2gb": _NANO,
     "nano4gb": make_backend(
         "nano4gb", JETSON_NANO_4GB_GPU,
@@ -48,18 +49,15 @@ BACKENDS: dict[str, DeviceBackend] = {
         description="Tesla V100 (Volta sm_70, 80 SMs, HBM2)"),
 }
 
-#: spec grammar accepted by parse_devices / REPRO_DEVICES / --devices
-SPEC_HELP = ",".join(sorted(set(b.name for b in BACKENDS.values())))
-
 
 def get_backend(name: str) -> DeviceBackend:
     """The backend registered under ``name`` (case-insensitive)."""
-    backend = BACKENDS.get(str(name).strip().lower())
-    if backend is None:
+    try:
+        return BACKENDS[str(name).strip().lower()]
+    except KeyError:
         raise UnknownBackendError(
             f"unknown device backend {name!r} (known backends: "
-            + ", ".join(sorted(BACKENDS)) + ")")
-    return backend
+            + ", ".join(sorted(BACKENDS)) + ")") from None
 
 
 def parse_devices(
@@ -86,21 +84,34 @@ def parse_devices(
     return out
 
 
-def resolve_backends(
+def resolve_registry(
     devices: Union[None, str, Sequence] = None,
-    env: str = "REPRO_DEVICES",
-) -> Optional[list[DeviceBackend]]:
-    """Resolve a heterogeneous registry, or None for "no spec given".
+    num_devices: Optional[int] = None,
+) -> list[DeviceBackend]:
+    """The runtime's device registry, one backend per device ordinal.
 
-    Precedence: the explicit ``devices`` argument, then the environment
-    variable.  Returning None (rather than a default) lets callers keep
-    their homogeneous ``num_devices`` path — including its own
-    ``REPRO_NUM_DEVICES`` defaulting — byte-for-byte unchanged when
-    nobody asked for mixed backends.
+    Precedence: an explicit ``devices`` spec, then an explicit
+    ``num_devices`` (that many ``nano`` devices), then the
+    ``REPRO_DEVICES`` environment variable, then ``REPRO_NUM_DEVICES``,
+    then a single ``nano``.
     """
     if devices is not None:
         return parse_devices(devices)
-    spec = os.environ.get(env, "")
-    if spec.strip():
-        return parse_devices(spec)
-    return None
+    if num_devices is None:
+        spec = os.environ.get("REPRO_DEVICES", "")
+        if spec.strip():
+            return parse_devices(spec)
+        num_devices = int(os.environ.get("REPRO_NUM_DEVICES", "") or "1")
+    n = int(num_devices)
+    if n < 1:
+        raise ValueError(f"num_devices must be >= 1, got {n}")
+    return [_NANO] * n
+
+
+def track_names(backends: Sequence[DeviceBackend]) -> Optional[dict]:
+    """Chrome-trace track labels (ordinal -> backend name) for a registry
+    that mixes backends; None keeps the ``dev<k>`` labels of a uniform
+    one."""
+    if len({b.name for b in backends}) < 2:
+        return None
+    return {k: b.name for k, b in enumerate(backends)}

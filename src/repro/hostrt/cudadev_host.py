@@ -30,10 +30,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cuda.device import DeviceProperties, JETSON_NANO_GPU
 from repro.cuda.driver import CudaDriver, CUfunction
 from repro.cuda.errors import CudaError, CUresult
 from repro.cuda.ptx.jit import JitCache
+from repro.devices.backend import DeviceBackend
 from repro.devices.throughput import ThroughputTracker
 from repro.faults.injector import resolve_faults
 from repro.faults.recovery import (
@@ -50,7 +50,7 @@ class CudadevModule(DeviceModule):
     def __init__(
         self,
         host_mem: Optional[LinearMemory],
-        device: DeviceProperties = JETSON_NANO_GPU,
+        backend: DeviceBackend,
         clock=None,
         jit_cache: Optional[JitCache] = None,
         launch_mode: str = "auto",
@@ -62,19 +62,16 @@ class CudadevModule(DeviceModule):
         ompt=None,
         gmem_base: Optional[int] = None,
         intrinsics=None,
-        backend=None,
     ):
         self.host_mem = host_mem
         #: this module's position in the owning Ort's device registry
         self.ordinal = int(ordinal)
-        #: the DeviceBackend this module realises (None on the legacy
-        #: homogeneous path, where every module is the same Nano)
+        #: the DeviceBackend this module realises
         self.backend = backend
         #: observed blocks/modelled-second, seeding the shard planner;
         #: calibrated hint first, refined after every launch
-        hint = (backend.calibrated_throughput() if backend is not None
-                else 0.0)
-        self.throughput = ThroughputTracker(hint=hint)
+        self.throughput = ThroughputTracker(
+            hint=backend.calibrated_throughput())
         self.recovery = resolve_recovery(recovery)
         # The module — not the raw driver — resolves the fault spec (and
         # the REPRO_FAULTS environment variable): faults model *hardware*
@@ -83,7 +80,8 @@ class CudadevModule(DeviceModule):
         driver_kwargs = {}
         if gmem_base is not None:
             driver_kwargs["gmem_base"] = gmem_base
-        self.driver = CudaDriver(device, clock=clock, jit_cache=jit_cache,
+        self.driver = CudaDriver(backend.props, clock=clock,
+                                 jit_cache=jit_cache,
                                  launch_mode=launch_mode, fastpath=fastpath,
                                  profile=profile, intrinsics=intrinsics,
                                  faults=resolve_faults(faults),
@@ -416,7 +414,7 @@ class CudadevModule(DeviceModule):
     def shard_weight(self) -> float:
         """Relative throughput weight the shard planner uses for this
         device: observed kernel rate when available, else the backend's
-        calibrated hint, else 1.0 (→ the uniform/legacy split)."""
+        calibrated hint."""
         return self.throughput.weight
 
     @property

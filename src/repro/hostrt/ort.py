@@ -9,9 +9,10 @@ program (like the real runtime's process-global state).
 Device numbering follows OpenMP: devices ``0 .. omp_get_num_devices()-1``
 are offload targets (each a cudadev GPU with its own driver state, data
 environment, stream pool and fault domain) and the *initial device* (the
-host itself) has id ``omp_get_num_devices()``.  The device count comes
-from the ``num_devices`` argument / ``REPRO_NUM_DEVICES`` environment
-variable (default 1, the single Jetson Nano of the paper).
+host itself) has id ``omp_get_num_devices()``.  The registry — one named
+:class:`~repro.devices.backend.DeviceBackend` per device — comes from
+:func:`repro.devices.resolve_registry` (default: the single Jetson Nano
+of the paper).
 
 A ``shard(n)`` clause on ``target teams distribute`` splits the team grid
 contiguously across the first ``n`` healthy devices (``n <= 0``: all of
@@ -32,10 +33,10 @@ import numpy as np
 
 from repro.cfront.errors import InterpError
 from repro.cfront.interp import Machine, Ptr
-from repro.cuda.device import DeviceProperties, JETSON_NANO_GPU
 from repro.cuda.driver import DEVICE_MEM_BASE
 from repro.cuda.errors import CudaError
 from repro.cuda.ptx.jit import JitCache
+from repro.devices import resolve_registry
 from repro.faults.recovery import DeviceLost, OffloadFailure
 from repro.hostrt.cudadev_host import CudadevModule
 from repro.hostrt.devices import HostDevice
@@ -82,7 +83,6 @@ class Ort:
     def __init__(
         self,
         machine: Machine,
-        device: Optional[DeviceProperties] = None,
         clock: Optional[VirtualClock] = None,
         jit_cache: Optional[JitCache] = None,
         launch_mode: str = "auto",
@@ -122,29 +122,7 @@ class Ort:
                 mod.lease_host(machine.heap)
         else:
             self.clock = clock or VirtualClock()
-            # Heterogeneous registry resolution (repro.devices): an
-            # explicit ``backends`` list/spec wins; an explicit ``device``
-            # profile or ``num_devices`` keeps the homogeneous path;
-            # otherwise the REPRO_DEVICES environment variable may name a
-            # mixed registry, and only then does REPRO_NUM_DEVICES apply.
-            from repro.devices import parse_devices, resolve_backends
-            if backends is not None:
-                backs = parse_devices(backends)
-            elif num_devices is None and device is None:
-                backs = resolve_backends()
-            else:
-                backs = None
-            if device is None:
-                device = JETSON_NANO_GPU
-            if backs is not None:
-                num_devices = len(backs)
-            elif num_devices is None:
-                num_devices = int(os.environ.get("REPRO_NUM_DEVICES", "")
-                                  or "1")
-            num_devices = int(num_devices)
-            if num_devices < 1:
-                raise ValueError(
-                    f"num_devices must be >= 1, got {num_devices}")
+            backs = resolve_registry(backends, num_devices)
             #: one shared activity ring for the whole registry; each module
             #: gets a per-device stamping view so the merged stream stays in
             #: emission order while every record remains attributable
@@ -157,8 +135,7 @@ class Ort:
             #: offload devices (0..n-1); the initial device is id n
             self.devices = [
                 CudadevModule(
-                    machine.heap,
-                    backs[k].props if backs is not None else device,
+                    machine.heap, backend,
                     clock=self.clock,
                     jit_cache=jit_cache,
                     launch_mode=launch_mode, fastpath=fastpath,
@@ -170,9 +147,8 @@ class Ort:
                     ompt=self.ompt,
                     gmem_base=DEVICE_MEM_BASE + k * DEVICE_MEM_STRIDE,
                     intrinsics=intrinsics,
-                    backend=backs[k] if backs is not None else None,
                 )
-                for k in range(num_devices)
+                for k, backend in enumerate(backs)
             ]
         self.icvs = ICVs(default_device_var=int(default_device))
         self.cudadev = self.devices[0]
@@ -941,8 +917,7 @@ class Ort:
             equal_split, plan_shards, registry_weights,
         )
         mode = os.environ.get("REPRO_SHARD_BALANCE", "throughput").lower()
-        names = {getattr(self.devices[k].backend, "name", None)
-                 for k in devices}
+        names = {self.devices[k].backend.name for k in devices}
         if mode == "equal" or len(names) < 2:
             # homogeneous registry (or balancing disabled): the classic
             # equal split, byte-for-byte — observed rates on identical

@@ -6,7 +6,7 @@ Mirrors the workflow of the real compiler::
     python3 -m repro.ompi.cli program.c --keep out/     # keep generated files
     python3 -m repro.ompi.cli program.c --ptx           # ptx binary mode
     python3 -m repro.ompi.cli program.c --no-run        # compile only
-    python3 -m repro.ompi.cli program.c --device tx2    # another board
+    python3 -m repro.ompi.cli program.c --devices tx2   # another board
     python3 -m repro.ompi.cli program.c --time          # event breakdown
 
 Generated artifacts written by ``--keep``: the transformed host program
@@ -20,21 +20,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.cuda.device import (
-    JETSON_NANO_4GB_GPU, JETSON_NANO_GPU, JETSON_TX2_GPU,
-)
 from repro.cuda.nvcc import compile_device
 from repro.cuda.ptx.jit import JitCache
 from repro.cuda.ptx.ptxwriter import module_to_ptx
 from repro.ompi.cache import CompileCache, GLOBAL_COMPILE_CACHE
 from repro.ompi.config import OmpiConfig
 from repro.ompi.diskcache import DiskCompileCache, default_root
-
-DEVICES = {
-    "nano2gb": JETSON_NANO_GPU,
-    "nano4gb": JETSON_NANO_4GB_GPU,
-    "tx2": JETSON_TX2_GPU,
-}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -56,9 +47,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="write generated host/kernel sources to DIR")
     parser.add_argument("--no-run", action="store_true",
                         help="compile only, do not execute")
-    parser.add_argument("--device", choices=sorted(DEVICES), default=None,
-                        help="board to run on (default nano2gb, or the "
-                             "REPRO_DEVICES registry when that is set)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="JIT compilation cache directory (ptx mode)")
     parser.add_argument("--time", action="store_true",
@@ -78,14 +66,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="recovery policy overrides, e.g. "
                              "'retries=5,backoff=1e-3,fallback=off'")
     parser.add_argument("--num-devices", type=int, default=None, metavar="N",
-                        help="number of simulated CUDA devices in the "
-                             "runtime's registry (default 1; see also "
-                             "REPRO_NUM_DEVICES).  device(k) routes to "
-                             "device k, shard(n) splits target teams "
-                             "distribute across n devices")
+                        help="run on N Jetson Nanos (default: "
+                             "REPRO_DEVICES, else REPRO_NUM_DEVICES, else "
+                             "1).  device(k) routes to device k, shard(n) "
+                             "splits target teams distribute across n "
+                             "devices")
     parser.add_argument("--devices", default=None, metavar="SPEC",
-                        help="heterogeneous device registry: comma-separated "
-                             "backend names, e.g. 'nano,v100' (see also "
+                        help="device registry: comma-separated backend "
+                             "names, e.g. 'tx2' or 'nano,v100' (see also "
                              "REPRO_DEVICES).  device(k) routes to the k-th "
                              "named backend; shard(n) load-balances by "
                              "per-device throughput.  Overrides "
@@ -144,14 +132,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.block_shape:
         parts = [int(v) for v in args.block_shape.split(",")]
         shape = tuple(parts + [1] * (3 - len(parts)))[:3]
-    backends = None
-    if args.devices:
-        from repro.devices import UnknownBackendError, parse_devices
-        try:
-            backends = parse_devices(args.devices)
-        except UnknownBackendError as exc:
-            print(f"ompicc: {exc}", file=sys.stderr)
-            return 2
     config = OmpiConfig(binary_mode="ptx" if args.ptx else "cubin",
                         arch=args.arch or "sm_53", block_shape=shape,
                         profile=args.profile,
@@ -160,10 +140,17 @@ def main(argv: list[str] | None = None) -> int:
                         host_fastpath=args.host_fastpath,
                         devices=args.devices,
                         reduction_mode=args.reduction_mode or "tree")
-    if backends is not None and args.arch is None:
-        # compile for the primary (first) backend's transformation set;
-        # bind retargets the images for the rest of the registry
-        config = backends[0].specialize(config)
+    if args.devices:
+        from repro.devices import UnknownBackendError, parse_devices
+        try:
+            primary = parse_devices(args.devices)[0]
+        except UnknownBackendError as exc:
+            print(f"ompicc: {exc}", file=sys.stderr)
+            return 2
+        if args.arch is None:
+            # compile for the primary (first) backend's transformation
+            # set; bind retargets the images for the rest of the registry
+            config = primary.specialize(config)
     # the process-wide compile cache: a repeated ompicc invocation in one
     # process (tests, embedders) reuses the compiled program, and the
     # serving runtime shares the same cache.  The CLI additionally attaches
@@ -201,9 +188,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.no_run:
         return 0
 
-    cache = JitCache(args.cache) if args.cache else None
-    run = program.run(device=DEVICES[args.device] if args.device else None,
-                      jit_cache=cache)
+    jit_cache = JitCache(args.cache) if args.cache else None
+    run = program.run(jit_cache=jit_cache)
     sys.stdout.write(run.stdout)
     if args.time:
         print("--- modelled events ---", file=sys.stderr)

@@ -25,9 +25,9 @@ from repro.cfront.errors import CFrontError
 from repro.cfront.interp import Machine
 from repro.cfront.parser import parse_translation_unit
 from repro.cfront.unparse import unparse
-from repro.cuda.device import DeviceProperties
 from repro.cuda.nvcc import compile_device
 from repro.cuda.ptx.jit import JitCache
+from repro.devices import track_names
 from repro.devrt.api import DEVICE_LIBRARY_HEADER
 from repro.hostrt.ort import Ort
 from repro.ompi.callgraph import kernel_closure
@@ -85,7 +85,7 @@ class CompiledProgram:
     def host_source(self) -> str:
         return unparse(self.host_unit)
 
-    def image_for_arch(self, kernel_name: str, arch: Optional[str]):
+    def image_for_arch(self, kernel_name: str, arch: str):
         """The kernel's image, retargeted for ``arch`` when needed.
 
         A cubin is architecture-specific: binding a program compiled for
@@ -97,7 +97,7 @@ class CompiledProgram:
         arch-agnostic and pass through (the JIT keys on device arch)."""
         image = self.images[kernel_name]
         from repro.cuda.ptx.images import CubinImage, assemble_cubin
-        if (arch and isinstance(image, CubinImage) and image.arch != arch):
+        if isinstance(image, CubinImage) and image.arch != arch:
             key = f"{kernel_name}@{arch}"
             cached = self.images.get(key)
             if cached is None:
@@ -109,22 +109,17 @@ class CompiledProgram:
 
     def bind(self, ort: Ort, seed_arrays: Optional[dict] = None) -> None:
         """Attach this program to a runtime: register the kernel images
-        with every device module (retargeted to each device's arch on a
-        heterogeneous registry), install the ``*_hostfn`` fallback twins
-        on the initial device, seed global arrays and give declare-target
-        globals their device residence.  Shared by :meth:`run` and by the
+        with every device module (each retargeted to its device's arch),
+        install the ``*_hostfn`` fallback twins on the initial device,
+        seed global arrays and give declare-target globals their device
+        residence.  Shared by :meth:`run` and by the
         serving runtime, which drives a leased :class:`Ort` itself."""
         machine = ort.machine
         for kernel_name in self.kernel_sources:
             for module in ort.devices:
-                # per-arch retargeting is a registry-backend feature; on
-                # the classic single-profile path the raw image is bound
-                # as-is and a mismatched cubin still fails at load time
-                arch = (module.driver.device_props.arch
-                        if getattr(module, "backend", None) is not None
-                        else None)
                 module.register_kernel_image(
-                    kernel_name, self.image_for_arch(kernel_name, arch))
+                    kernel_name,
+                    self.image_for_arch(kernel_name, module.backend.arch))
         for plan in self.plans:
             ort.host_device.register_fallback(plan.kernel_name,
                                               plan.kernel_name + "_hostfn")
@@ -151,7 +146,6 @@ class CompiledProgram:
 
     def run(
         self,
-        device: Optional[DeviceProperties] = None,
         clock: Optional[VirtualClock] = None,
         jit_cache: Optional[JitCache] = None,
         launch_mode: str = "auto",
@@ -166,21 +160,20 @@ class CompiledProgram:
         host_fastpath: Optional[str] = None,
         devices=None,
     ) -> ProgramRun:
+        """Execute the program.  Every runtime argument left None falls
+        back to its :class:`OmpiConfig` field, and from there to its
+        environment variable."""
+        cfg = self.config.overriding(
+            profile=profile, faults=faults, recovery=recovery,
+            num_devices=num_devices, host_fastpath=host_fastpath,
+            devices=devices)
         machine = Machine(self.host_unit, heap_capacity=heap_capacity,
-                          host_fastpath=host_fastpath if host_fastpath
-                          is not None else self.config.host_fastpath)
-        ort = Ort(machine, device=device, clock=clock, jit_cache=jit_cache,
-                  launch_mode=launch_mode,
-                  fastpath=self.config.kernel_fastpath,
-                  profile=profile if profile is not None
-                  else self.config.profile,
-                  faults=faults if faults is not None else self.config.faults,
-                  recovery=recovery if recovery is not None
-                  else self.config.recovery,
-                  num_devices=num_devices if num_devices is not None
-                  else self.config.num_devices,
-                  backends=devices if devices is not None
-                  else self.config.devices)
+                          host_fastpath=cfg.host_fastpath)
+        ort = Ort(machine, clock=clock, jit_cache=jit_cache,
+                  launch_mode=launch_mode, fastpath=cfg.kernel_fastpath,
+                  profile=cfg.profile, faults=cfg.faults,
+                  recovery=cfg.recovery, num_devices=cfg.num_devices,
+                  backends=cfg.devices)
         if ompt:
             for event, fn in ompt.items():
                 ort.ompt.set_callback(event, fn)
@@ -189,10 +182,9 @@ class CompiledProgram:
         ort.taskwait()  # implicit join of outstanding nowait tasks at exit
         if ort.prof is not None and ort.prof_path:
             from repro.prof.chrome import write_chrome_trace
-            names = {k: m.backend.name for k, m in enumerate(ort.devices)
-                     if getattr(m, "backend", None) is not None}
             write_chrome_trace(ort.prof, ort.prof_path,
-                               device_names=names or None)
+                               device_names=track_names(
+                                   [m.backend for m in ort.devices]))
         return ProgramRun(machine, ort, exit_code)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
@@ -23,8 +23,6 @@ class OmpiConfig:
     #: dimensions of the equivalent cuda applications" (§5).  None applies
     #: the default rule (x = min(n, 32), y = n/32); a tuple forces a shape.
     block_shape: Optional[tuple[int, int, int]] = None
-    #: emit the generated sources into this dict for inspection (--keep)
-    keep_generated: bool = True
     #: closure-compiled kernel execution ('on'/'off'/'verify'); None defers
     #: to the REPRO_KERNEL_FASTPATH environment variable, defaulting to 'on'.
     #: 'verify' runs both the compiled fast path and the tree-walk reference
@@ -50,16 +48,17 @@ class OmpiConfig:
     #: recovery policy: None uses defaults; a RecoveryPolicy or a string
     #: like 'retries=5,backoff=1e-3,fallback=off' overrides.
     recovery: object = None
-    #: number of simulated CUDA devices in the runtime's registry: None
-    #: defers to REPRO_NUM_DEVICES (default 1).  Each device gets its own
+    #: number of simulated CUDA devices (Jetson Nanos) in the runtime's
+    #: registry; None defers to the environment (see
+    #: repro.devices.resolve_registry).  Each device gets its own
     #: driver state, memory arena, stream pool, data environment and fault
     #: domain; device(k) routes to device k and shard(n) splits a target
     #: teams distribute across the first n healthy devices.
     num_devices: Optional[int] = None
-    #: heterogeneous device registry: a spec ("nano,v100"), a sequence of
-    #: backend names / DeviceBackend objects, or None (defer to
-    #: REPRO_DEVICES, else the homogeneous num_devices path).  Overrides
-    #: num_devices when set; device(k) then routes to the k-th named
+    #: named device registry: a spec ("nano,v100"), a sequence of backend
+    #: names / DeviceBackend objects, or None (num_devices, else the
+    #: REPRO_DEVICES/REPRO_NUM_DEVICES environment, else one nano).
+    #: Overrides num_devices when set; device(k) routes to the k-th named
     #: backend.  Runtime-only: the registry shape never changes generated
     #: code, so it stays out of the compile-cache fingerprint (the
     #: per-device *arch* enters via image retargeting at bind time).
@@ -83,6 +82,13 @@ class OmpiConfig:
     #: 'off' disables, or 'threshold=2,cooldown=1e-3' overrides knobs.
     #: Runtime-only — stays out of the compile-cache fingerprint.
     breaker: object = None
+
+    def overriding(self, **fields) -> "OmpiConfig":
+        """This config with every field passed as non-None replaced: an
+        entry point's explicit runtime arguments win over the config,
+        and fields left None still defer to the environment."""
+        return replace(self, **{k: v for k, v in fields.items()
+                                if v is not None})
 
     def block_dims(self, num_threads: int) -> tuple[int, int, int]:
         if self.block_shape is not None:

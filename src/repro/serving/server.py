@@ -7,9 +7,9 @@ sessions multiplexes over:
   compiled program; the first request for a program pays the full OMPi +
   nvcc pipeline, every later request (any session, any tenant) binds the
   cached images,
-* one **device registry**: N simulated Jetson boards sharing a virtual
-  clock and one activity ring, each with its own driver, memory arena
-  and fault domain,
+* one **device registry**: N named device backends (by default Jetson
+  Nanos) sharing a virtual clock and one activity ring, each with its
+  own driver, memory arena and fault domain,
 * one **admission queue** per device with deterministic ordering and
   compatible-request batching (:mod:`repro.serving.scheduler`),
 * per-tenant **quotas** (:mod:`repro.serving.quota`) and quota/pressure
@@ -35,9 +35,9 @@ from typing import Optional
 from repro.cfront.errors import CFrontError
 from repro.cuda.nvcc import NvccError
 from repro.cfront.interp import Machine
-from repro.cuda.device import DeviceProperties, JETSON_NANO_GPU
 from repro.cuda.driver import DEVICE_MEM_BASE
 from repro.cuda.errors import CudaError
+from repro.devices import resolve_registry, track_names
 from repro.faults.injector import FaultInjector, resolve_faults
 from repro.faults.recovery import DeviceLost, OffloadFailure
 from repro.hostrt.cudadev_host import CudadevModule
@@ -183,7 +183,6 @@ class OffloadServer:
     def __init__(
         self,
         num_devices: Optional[int] = None,
-        device: Optional[DeviceProperties] = None,
         config: Optional[OmpiConfig] = None,
         compile_cache: Optional[CompileCache] = None,
         launch_mode: str = "auto",
@@ -200,28 +199,15 @@ class OffloadServer:
         breaker=None,
         max_retries: int = 2,
     ):
-        # heterogeneous registry: an explicit spec ("nano,v100", a list of
-        # names/backends) wins; the REPRO_DEVICES environment variable
-        # applies only when neither a device profile nor a device count
-        # was given explicitly (mirroring Ort's precedence)
-        from repro.devices import resolve_backends
-        if devices is not None:
-            backs = resolve_backends(devices)
-        elif num_devices is None and device is None:
-            backs = resolve_backends()
-        else:
-            backs = None
-        if device is None:
-            device = JETSON_NANO_GPU
-        if backs is not None:
-            num_devices = len(backs)
-        elif num_devices is None:
-            num_devices = 1
-        num_devices = int(num_devices)
-        if num_devices < 1:
-            raise ValueError(f"num_devices must be >= 1, got {num_devices}")
-        self.backends = backs
         self.config = config or OmpiConfig()
+        # explicit arguments win over the config, the config over the
+        # environment: the same precedence CompiledProgram.run applies
+        rt = self.config.overriding(
+            num_devices=num_devices, devices=devices, profile=profile,
+            faults=faults, recovery=recovery, serve_deadline=deadline,
+            breaker=breaker)
+        self.backends = resolve_registry(rt.devices, rt.num_devices)
+        num_devices = len(self.backends)
         if compile_cache is not None:
             self.compile_cache = compile_cache
         else:
@@ -240,30 +226,29 @@ class OffloadServer:
         self.max_resident_fraction = float(max_resident_fraction)
         self.compact_logs = compact_logs
         self.clock = VirtualClock()
-        self.prof, self.prof_path = resolve_profile(profile)
+        self.prof, self.prof_path = resolve_profile(rt.profile)
         self.ompt = OmptRegistry()
         from repro.devrt import build_intrinsics
         intrinsics = build_intrinsics()
         # faults: one spec for every device, or {ordinal: spec} so tests
         # can fault one tenant's device while its neighbours stay healthy
-        fault_map = (faults if isinstance(faults, dict)
-                     else {k: self._decorrelate(faults, k)
+        fault_map = (rt.faults if isinstance(rt.faults, dict)
+                     else {k: self._decorrelate(rt.faults, k)
                            for k in range(num_devices)})
         self.devices = [
             CudadevModule(
-                None, backs[k].props if backs is not None else device,
+                None, backend,
                 clock=self.clock,
                 launch_mode=launch_mode,
                 fastpath=self.config.kernel_fastpath,
                 profile=(DeviceRecorder(self.prof, k)
                          if self.prof is not None else False),
-                faults=fault_map.get(k), recovery=recovery, ordinal=k,
+                faults=fault_map.get(k), recovery=rt.recovery, ordinal=k,
                 ompt=self.ompt,
                 gmem_base=DEVICE_MEM_BASE + k * DEVICE_MEM_STRIDE,
                 intrinsics=intrinsics,
-                backend=backs[k] if backs is not None else None,
             )
-            for k in range(num_devices)
+            for k, backend in enumerate(self.backends)
         ]
         for k, mod in enumerate(self.devices):
             # second-level OOM pressure valve: shed idle sessions' warm
@@ -284,10 +269,8 @@ class OffloadServer:
         #: default relative deadline budget (seconds of modelled time),
         #: applied as arrival + budget at submit; explicit Request
         #: deadlines are absolute and win
-        self.deadline_budget = resolve_deadline(
-            deadline if deadline is not None else self.config.serve_deadline)
-        policy = resolve_breaker(
-            breaker if breaker is not None else self.config.breaker)
+        self.deadline_budget = resolve_deadline(rt.serve_deadline)
+        policy = resolve_breaker(rt.breaker)
         #: per-device circuit breakers (None: breaker disabled via 'off')
         self.breakers = ([CircuitBreaker(k, policy, note=self._rnote)
                           for k in range(num_devices)]
@@ -337,18 +320,16 @@ class OffloadServer:
         self.closed = True
         if self.prof is not None and self.prof_path:
             from repro.prof.chrome import write_chrome_trace
-            names = ({k: b.name for k, b in enumerate(self.backends)}
-                     if self.backends is not None else None)
             write_chrome_trace(self.prof, self.prof_path,
                                compile_cache=self.compile_cache,
-                               device_names=names)
+                               device_names=track_names(self.backends))
 
     def summary(self) -> dict:
         """Serving counters plus the shared compile cache's hit/miss/evict
         stats (both tiers) — the dict the load-test artifact records.
         ``compile_cache_disk_hits``/``_misses`` surface the persistent
         tier's counters (0 when no REPRO_CACHE_DIR tier is attached), and
-        a heterogeneous registry reports its backend names."""
+        ``devices`` names each device's backend."""
         out = {**self.stats.summary(),
                "compile_cache": self.compile_cache.stats,
                "compile_cache_disk_hits": getattr(
@@ -375,8 +356,7 @@ class OffloadServer:
             }
         if self._draining:
             out["draining"] = sorted(self._draining)
-        if self.backends is not None:
-            out["devices"] = [b.name for b in self.backends]
+        out["devices"] = [b.name for b in self.backends]
         return out
 
     @property
@@ -667,7 +647,8 @@ class OffloadServer:
                     return
             prog = self.compile_cache.get(req.source, req.name, self.config)
             machine = Machine(prog.host_unit,
-                              heap_capacity=req.heap_capacity)
+                              heap_capacity=req.heap_capacity,
+                              host_fastpath=self.config.host_fastpath)
             if task is not None:
                 mod.base_stream = task.stream
             dataenvs = {

@@ -1,4 +1,6 @@
-"""Tests for the affine-loop vectorizer (equivalence with tree-walking)."""
+"""Tests for the host fast path's loop plans (``cfront.hostcompile``):
+vectorized loops match tree-walking, and loops outside the recognised
+subset fall back."""
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from repro.cfront import astnodes as A
 from repro.cfront.interp import Machine
+from repro.cfront.hostcompile import exec_for_fastpath
 from repro.cfront.parser import parse_translation_unit
-from repro.cfront.vectorize import try_vectorize_for
 
 
 def run(src):
@@ -18,9 +20,9 @@ def run(src):
 
 
 def _has_vectorizable_main_loop(src) -> bool:
-    """Check the first for-loop in main() against the full vectorizer
-    (analysis + dry compilation), without running the rest of main."""
-    machine = Machine(parse_translation_unit(src))
+    """Check the first for-loop in main() against the interpreter's loop
+    entry (analysis + dry compilation), without running the rest of main."""
+    machine = Machine(parse_translation_unit(src), host_fastpath="on")
     main = machine.globals["main"].defn
     loops = [n for n in main.body.walk() if isinstance(n, A.For)]
     env = [{}]
@@ -31,7 +33,7 @@ def _has_vectorizable_main_loop(src) -> bool:
     loop = loops[0]
     if loop.init is not None:
         machine.exec_stmt(loop.init, env)
-    return try_vectorize_for(machine, loop, env)
+    return exec_for_fastpath(machine, loop, env)
 
 
 def test_simple_init_vectorized_matches():

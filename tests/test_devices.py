@@ -15,7 +15,7 @@ from repro.cuda.errors import CudaError, CUresult
 from repro.cuda.nvcc import compile_device
 from repro.devices import (
     BACKENDS, ThroughputTracker, UnknownBackendError, get_backend,
-    parse_devices, plan_shards, resolve_backends,
+    parse_devices, plan_shards, resolve_registry,
 )
 from repro.devices.throughput import equal_split
 from repro.ompi.cache import CompileCache, config_fingerprint
@@ -65,13 +65,76 @@ def test_parse_devices_accepts_spec_and_sequences():
         parse_devices("")
 
 
-def test_resolve_backends_env_precedence(monkeypatch):
+def test_resolve_registry_precedence(monkeypatch):
+    def names(*args, **kw):
+        return [b.name for b in resolve_registry(*args, **kw)]
+    monkeypatch.delenv("REPRO_DEVICES", raising=False)
+    monkeypatch.delenv("REPRO_NUM_DEVICES", raising=False)
+    assert names() == ["nano"]                      # the default
+    monkeypatch.setenv("REPRO_NUM_DEVICES", "3")
+    assert names() == ["nano"] * 3
     monkeypatch.setenv("REPRO_DEVICES", "nano,tx2")
-    assert [b.name for b in resolve_backends()] == ["nano", "tx2"]
-    # an explicit argument wins over the environment
-    assert [b.name for b in resolve_backends("v100")] == ["v100"]
-    monkeypatch.delenv("REPRO_DEVICES")
-    assert resolve_backends() is None
+    assert names() == ["nano", "tx2"]               # beats REPRO_NUM_DEVICES
+    assert names(num_devices=2) == ["nano", "nano"]  # explicit count wins
+    # an explicit spec wins over everything, including an explicit count
+    assert names("v100", num_devices=2) == ["v100"]
+    with pytest.raises(ValueError, match="num_devices"):
+        resolve_registry(num_devices=0)
+
+
+ENTRY_SRC = r'''
+float v[64];
+int main(void)
+{
+    int i, n = 64;
+    for (i = 0; i < n; i++) v[i] = i;
+    #pragma omp target teams distribute parallel for map(tofrom: v[0:n]) \
+        num_teams(2) num_threads(32)
+    for (i = 0; i < n; i++) v[i] = 2.0f * v[i];
+    return 0;
+}
+'''
+
+
+def test_one_config_means_the_same_at_every_entry_point(monkeypatch):
+    """``CompiledProgram.run`` and ``OffloadServer`` read one OmpiConfig
+    the same way: registry, faults, profiling and the host mode."""
+    import repro.serving.server as server_mod
+    from repro.faults.injector import FaultInjector
+    from repro.prof.activity import ActivityRecorder
+    from repro.serving import OffloadServer
+
+    config = OmpiConfig(num_devices=3, faults="transient:seed=1",
+                        profile=True, host_fastpath="off")
+    run = OmpiCompiler(config).compile(ENTRY_SRC, "entry").run()
+    assert run.ort.num_devices == 3
+    assert all(isinstance(m.driver.faults, FaultInjector)
+               for m in run.ort.devices)
+    assert isinstance(run.ort.prof, ActivityRecorder)
+    assert run.machine.host_fastpath == "off"
+
+    modes = []
+
+    class RecordingMachine(server_mod.Machine):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            modes.append(self.host_fastpath)
+
+    monkeypatch.setattr(server_mod, "Machine", RecordingMachine)
+    with OffloadServer(config=config) as server:
+        assert server.num_devices == 3
+        assert all(isinstance(m.driver.faults, FaultInjector)
+                   for m in server.devices)
+        assert isinstance(server.prof, ActivityRecorder)
+        req = server.submit(server.open_session(), ENTRY_SRC, name="entry",
+                            outputs=("v",))
+        server.drain()
+    assert req.status == "done", req.error
+    assert modes == ["off"]
+    assert np.array_equal(req.result["v"],
+                          run.machine.global_array("v"))
+    assert [m.backend.name for m in server.devices] \
+        == [m.backend.name for m in run.ort.devices] == ["nano"] * 3
 
 
 def test_v100_profile_and_calibration():

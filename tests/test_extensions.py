@@ -4,7 +4,7 @@ generalisation (other Jetson boards), the preliminary OpenCL module."""
 import numpy as np
 import pytest
 
-from repro.cuda.device import JETSON_NANO_4GB_GPU, JETSON_NANO_GPU, JETSON_TX2_GPU
+from repro.devices import get_backend
 from repro.ompi import OmpiCompiler, OmpiConfig
 from repro.ompi.codegen_opencl import OpenCLXformError, opencl_kernel_source
 
@@ -89,35 +89,41 @@ def test_module_generalises_to_other_boards():
     seed = {"x": np.arange(4096, dtype=np.float32),
             "y": np.ones(4096, dtype=np.float32)}
     times = {}
-    for board in (JETSON_NANO_GPU, JETSON_NANO_4GB_GPU, JETSON_TX2_GPU):
-        run = prog.run(device=board, seed_arrays=seed)
+    for board in ("nano2gb", "nano4gb", "tx2"):
+        run = prog.run(devices=board, seed_arrays=seed)
         assert np.allclose(run.machine.global_array("y"),
                            2.0 * np.arange(4096) + 1)
-        times[board.name] = run.measured_time
+        times[board] = run.measured_time
         assert run.ort.cudadev.attributes["MULTIPROCESSOR_COUNT"] == \
-            board.multiprocessor_count
+            get_backend(board).props.multiprocessor_count
     # identical silicon, identical time; the TX2 is faster
     nano2, nano4, tx2 = times.values()
     assert nano2 == pytest.approx(nano4)
     assert tx2 < nano2
 
 
-def test_tx2_cubin_needs_matching_arch():
-    from repro.cuda.errors import CudaError
-    prog = OmpiCompiler(OmpiConfig(arch="sm_62")).compile(SAXPY, "gen62")
-    seed = {"x": np.zeros(4096, dtype=np.float32),
-            "y": np.zeros(4096, dtype=np.float32)}
-    run = prog.run(device=JETSON_TX2_GPU, seed_arrays=seed)   # works
-    with pytest.raises(CudaError):
-        prog.run(device=JETSON_NANO_GPU, seed_arrays=seed)    # sm mismatch
+def test_cubin_bind_retargets_to_device_arch():
+    """A cubin is per-sm: binding an sm_62 build to a Nano (and an sm_53
+    build to a TX2) re-assembles the kernel for the device's arch.  The
+    driver's own cross-arch rejection is covered in test_devices.py."""
+    seed = {"x": np.arange(4096, dtype=np.float32),
+            "y": np.ones(4096, dtype=np.float32)}
+    for arch, board in (("sm_62", "nano"), ("sm_53", "tx2")):
+        prog = OmpiCompiler(OmpiConfig(arch=arch)).compile(SAXPY, "gen" + arch)
+        run = prog.run(devices=board, seed_arrays=seed)
+        assert np.allclose(run.machine.global_array("y"),
+                           2.0 * np.arange(4096) + 1)
+        want = get_backend(board).arch
+        assert prog.images[f"gen{arch}_kernel0"].arch == arch
+        assert prog.images[f"gen{arch}_kernel0@{want}"].arch == want
 
 
 def test_ptx_mode_is_architecture_portable():
     prog = OmpiCompiler(OmpiConfig(binary_mode="ptx")).compile(SAXPY, "genptx")
     seed = {"x": np.zeros(4096, dtype=np.float32),
             "y": np.ones(4096, dtype=np.float32)}
-    for board in (JETSON_NANO_GPU, JETSON_TX2_GPU):
-        run = prog.run(device=board, seed_arrays=seed)
+    for board in ("nano2gb", "tx2"):
+        run = prog.run(devices=board, seed_arrays=seed)
         assert (run.machine.global_array("y") == 1.0).all()
 
 

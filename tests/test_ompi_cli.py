@@ -61,8 +61,31 @@ def test_ptx_mode_with_cache(src_file, tmp_path, capsys):
 
 
 def test_device_selection(src_file, capsys):
-    assert main([str(src_file), "--ptx", "--device", "tx2"]) == 0
+    # cubin mode: the kernels compile for the tx2's sm_62
+    assert main([str(src_file), "--devices", "tx2"]) == 0
     assert "v[7] = 3.0" in capsys.readouterr().out
+
+
+def _profile_summary(err: str) -> str:
+    assert "=== repro.prof summary ===" in err
+    return err.split("=== repro.prof summary ===", 1)[1]
+
+
+def test_profile_summary_keeps_cache_stats(src_file, capsys):
+    assert main([str(src_file), "--profile", "--cache-stats"]) == 0
+    summary = _profile_summary(capsys.readouterr().err)
+    assert "compile cache: hits=" in summary
+    assert "disk cache: hits=" in summary
+
+
+def test_profile_cache_stats_with_jit_cache(src_file, tmp_path, capsys):
+    jit = tmp_path / "jit"
+    assert main([str(src_file), "--ptx", "--cache", str(jit), "--profile",
+                 "--cache-stats"]) == 0
+    captured = capsys.readouterr()
+    assert "v[7] = 3.0" in captured.out
+    assert "compile cache: hits=" in _profile_summary(captured.err)
+    assert any(jit.glob("*.cubin"))
 
 
 def test_missing_file(capsys):
