@@ -45,7 +45,6 @@ memory is modified — exactly like the old vectorizer.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,10 +72,10 @@ _MODES = ("on", "off", "verify")
 
 
 def resolve_host_fastpath(value: Optional[str]) -> str:
-    mode = (value or os.environ.get("REPRO_HOST_FASTPATH") or "on").strip().lower()
+    mode = (value or "on").strip().lower()
     if mode not in _MODES:
         raise ValueError(
-            f"REPRO_HOST_FASTPATH must be one of {_MODES}, got {mode!r}")
+            f"host fast-path mode must be one of {_MODES}, got {mode!r}")
     return mode
 
 

@@ -162,6 +162,11 @@ class Machine:
         self.globals: dict[str, object] = {}
         self._string_pool: dict[str, Ptr] = {}
         self._rand_state = 1
+        if host_fastpath is None:
+            # built directly rather than through an entry point: the
+            # environment supplies the default (repro.ompi.config)
+            from repro.ompi.config import from_env
+            host_fastpath = from_env("host_fastpath")
         self.host_fastpath = resolve_host_fastpath(host_fastpath)
         self.host_stats: dict[str, int] = {
             "loop_fast": 0, "loop_fallback": 0,

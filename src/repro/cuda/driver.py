@@ -23,8 +23,8 @@ the host clock only advances when the stream is synchronized; work on the
 default stream 0 remains host-synchronous, exactly as before streams
 existed.
 
-When profiling is enabled (``profile=`` argument or the ``REPRO_PROFILE``
-environment variable) every driver action additionally emits a typed
+When profiling is enabled (an activity recorder passed as ``profile=``)
+every driver action additionally emits a typed
 :mod:`repro.prof.activity` record — kernels with their occupancy and
 dynamic counters, transfers with bytes and bandwidth, module loads/JIT,
 synchronisations and the device-memory watermark.  Disabled profiling is
@@ -53,7 +53,7 @@ from repro.faults.injector import FaultInjector, FaultLog
 from repro.mem import LinearMemory
 from repro.prof.activity import (
     EventActivity, KernelActivity, MemcpyActivity, MemoryActivity,
-    ModuleActivity, SyncActivity, resolve_profile,
+    ModuleActivity, SyncActivity,
 )
 from repro.rt_async.streams import DEFAULT_STREAM, StreamError, StreamTable
 from repro.timing import calibration as C
@@ -99,12 +99,17 @@ class CudaDriver:
         fastpath: Optional[str] = None,
         profile=None,
         faults: Optional[FaultInjector] = None,
+        sample_blocks: Optional[int] = None,
     ):
         if launch_mode not in ("full", "sample", "auto"):
             raise ValueError(f"bad launch_mode {launch_mode!r}")
-        if fastpath is None:
-            import os
-            fastpath = os.environ.get("REPRO_KERNEL_FASTPATH", "on")
+        if fastpath is None or sample_blocks is None:
+            # built directly rather than through an entry point: the
+            # environment supplies the defaults (repro.ompi.config)
+            from repro.ompi.config import from_env
+            fastpath = fastpath or from_env("kernel_fastpath") or "on"
+            if sample_blocks is None:
+                sample_blocks = int(from_env("sample_blocks") or 3)
         if fastpath not in ("on", "off", "verify"):
             raise ValueError(f"bad fastpath mode {fastpath!r}")
         self.fastpath = fastpath
@@ -114,6 +119,8 @@ class CudaDriver:
         self.jit_cache = jit_cache
         self.launch_mode = launch_mode
         self.sample_threshold = sample_threshold_threads
+        #: blocks a sampled launch executes functionally (first/middle/last)
+        self.sample_blocks = sample_blocks
         capacity = gmem_capacity or device.arena_bytes or \
             (device.total_global_mem - RESERVED_MEM)
         # multi-device registries hand each driver a disjoint base so the
@@ -122,9 +129,9 @@ class CudaDriver:
         self.gpu_model = GpuTimingModel(device)
         self.host_model = HostModel(
             memcpy_bandwidth_gbps=device.copy_bandwidth_gbps)
-        #: activity recorder (None: profiling disabled, hooks cost one
-        #: identity check) and the Chrome-trace path requested, if any
-        self.prof, self.prof_path = resolve_profile(profile)
+        #: activity recorder or per-device view (None: profiling disabled,
+        #: hooks cost one identity check)
+        self.prof = profile
         #: fault bookkeeping: the injector is optional (None: no injection;
         #: the hook costs one identity check per call), the fault log is
         #: always present — recovery layers report retries/fallbacks here
@@ -666,8 +673,7 @@ class CudaDriver:
         return cached
 
     def _sample_blocks(self, grid: Dim3) -> list[tuple[int, int, int]]:
-        import os
-        want = int(os.environ.get("REPRO_SAMPLE_BLOCKS", "3"))
+        want = self.sample_blocks
         mid = (grid.x // 2, grid.y // 2, grid.z // 2)
         if want <= 1:
             return [mid]

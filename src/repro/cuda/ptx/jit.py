@@ -29,12 +29,7 @@ CACHE_HIT_COST_S = 1.2e-3
 class JitCache:
     """On-disk cubin cache (the ComputeCache stand-in)."""
 
-    def __init__(self, cache_dir: str | os.PathLike | None = None):
-        if cache_dir is None:
-            cache_dir = os.environ.get(
-                "REPRO_CUDA_CACHE_DIR",
-                os.path.join(os.path.expanduser("~"), ".repro_nv", "ComputeCache"),
-            )
+    def __init__(self, cache_dir: str | os.PathLike):
         self.dir = Path(cache_dir)
         self.hits = 0
         self.misses = 0

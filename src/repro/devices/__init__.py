@@ -11,10 +11,8 @@ for the reproduction:
   per-arch timing calibration, and the per-arch *transformation set*
   (the codegen knobs the CUDA kernel builder specialises on);
 * :mod:`repro.devices.registry` — named backends (``nano``, ``nano4gb``,
-  ``tx2``, ``v100``) and :func:`resolve_registry`, the one resolution of
-  a runtime registry from an explicit list or device count, the
-  ``REPRO_DEVICES``/``REPRO_NUM_DEVICES`` environment variables, or the
-  default single Nano;
+  ``tx2``, ``v100``) and :func:`resolve_registry`, which builds a runtime
+  registry from a spec or a device count (default: one Nano);
 * :mod:`repro.devices.throughput` — the shard planner: contiguous
   block-range apportionment weighted by per-device throughput
   (calibrated hint, refined by observed kernel rates), degrading to the

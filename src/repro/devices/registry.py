@@ -5,15 +5,14 @@
 :class:`~repro.devices.backend.DeviceBackend`.  A *registry spec* is a
 comma-separated list of those names — ``"nano,v100"`` builds a
 two-device registry whose ``device(0)`` is a Jetson Nano and
-``device(1)`` a V100.  :func:`resolve_registry` is the one place a
-runtime registry is resolved: every entry point (``CompiledProgram.run``,
-``OffloadServer``, ``ompicc``) hands it the ``devices``/``num_devices``
-values it was given and gets the backend list back.
+``device(1)`` a V100.  :func:`resolve_registry` turns the
+``devices``/``num_devices`` values that
+:func:`repro.ompi.config.resolve_runtime` settled on into the backend
+list.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence, Union
 
 from repro.cuda.device import (
@@ -88,21 +87,13 @@ def resolve_registry(
     devices: Union[None, str, Sequence] = None,
     num_devices: Optional[int] = None,
 ) -> list[DeviceBackend]:
-    """The runtime's device registry, one backend per device ordinal.
-
-    Precedence: an explicit ``devices`` spec, then an explicit
-    ``num_devices`` (that many ``nano`` devices), then the
-    ``REPRO_DEVICES`` environment variable, then ``REPRO_NUM_DEVICES``,
-    then a single ``nano``.
-    """
+    """The runtime's device registry, one backend per device ordinal:
+    the ``devices`` spec if given, else ``num_devices`` (default 1)
+    ``nano`` devices.  :func:`repro.ompi.config.resolve_runtime` decides
+    which values reach here (explicit > config > environment)."""
     if devices is not None:
         return parse_devices(devices)
-    if num_devices is None:
-        spec = os.environ.get("REPRO_DEVICES", "")
-        if spec.strip():
-            return parse_devices(spec)
-        num_devices = int(os.environ.get("REPRO_NUM_DEVICES", "") or "1")
-    n = int(num_devices)
+    n = 1 if num_devices is None else int(num_devices)
     if n < 1:
         raise ValueError(f"num_devices must be >= 1, got {n}")
     return [_NANO] * n

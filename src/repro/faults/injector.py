@@ -21,7 +21,8 @@ machinery (retries, eviction, host fallback, task cancellation) reports
 through it too.  Events go to three sinks: an in-memory list, the
 profiler's activity ring (as :class:`repro.prof.activity.FaultActivity`
 records, so chrome traces show degradation), and optionally a JSON-lines
-file named by ``REPRO_FAULTS_LOG`` (the chaos-CI artifact).
+file (a runtime's resolved ``faults_log``, from ``REPRO_FAULTS_LOG``:
+the chaos-CI artifact).
 """
 
 from __future__ import annotations
@@ -44,20 +45,17 @@ POISON_EXEMPT = ("cuDevicePrimaryCtxReset", "cuDeviceGet", "cuDeviceGet*",
 class FaultLog:
     """Counters + event list for injected faults and recovery actions."""
 
-    #: default size cap for the jsonl sink (one rotated generation is
-    #: kept, so peak disk use is ~2x this)
+    #: size cap for the jsonl sink (one rotated generation is kept, so
+    #: peak disk use is ~2x this)
     MAX_LOG_BYTES = 4 * 1024 * 1024
 
-    def __init__(self, clock=None, recorder=None, path: Optional[str] = None,
-                 max_bytes: Optional[int] = None):
+    def __init__(self, clock=None, recorder=None):
         self.clock = clock
         self.recorder = recorder
-        self.path = path if path is not None else os.environ.get(
-            "REPRO_FAULTS_LOG") or None
-        if max_bytes is None:
-            max_bytes = int(os.environ.get("REPRO_FAULTS_LOG_MAX_BYTES")
-                            or self.MAX_LOG_BYTES)
-        self.max_bytes = max_bytes
+        #: JSON-lines sink (None: in memory only); a runtime sets it from
+        #: its resolved ``faults_log``
+        self.path: Optional[str] = None
+        self.max_bytes = self.MAX_LOG_BYTES
         self.counters: dict[str, int] = {}
         self.events: list[dict] = []
         self.dropped_lines = 0
@@ -187,23 +185,16 @@ class FaultInjector:
                             injected=True)
 
 
-def resolve_faults(spec) -> Optional[FaultInjector]:
-    """Resolve a user-facing fault spec into an injector (or None).
-
-    ``spec`` may be ``None`` (defer to the ``REPRO_FAULTS`` environment
-    variable), ``False``/``'off'``/empty (disabled), a spec string (see
-    :mod:`repro.faults.plan`), a :class:`FaultPlan`, or a ready
-    :class:`FaultInjector`.
-    """
-    if spec is None:
-        spec = os.environ.get("REPRO_FAULTS", "")
-    if spec is False or spec == "" or spec in ("off", "0", "none"):
+def resolve_faults(spec, seed_offset: int = 0) -> Optional[FaultInjector]:
+    """A fresh injector for a fault spec string (see
+    :mod:`repro.faults.plan`), or None for ``None``/``False``/``'off'``/
+    empty.  The injector is seeded with the spec's seed + ``seed_offset``
+    (device ``k`` of a registry passes ``k``)."""
+    if spec is None or spec is False or spec in ("", "off", "0", "none"):
         return None
-    if isinstance(spec, FaultInjector):
-        return spec
-    if isinstance(spec, FaultPlan):
-        return FaultInjector(spec)
-    if isinstance(spec, str):
-        plan = FaultPlan.parse(spec)
-        return FaultInjector(plan) if plan.rules else None
-    raise ValueError(f"bad fault spec {spec!r}")
+    if not isinstance(spec, str):
+        raise ValueError(f"bad fault spec {spec!r}")
+    plan = FaultPlan.parse(spec)
+    if not plan.rules:
+        return None
+    return FaultInjector(plan, seed=plan.seed + seed_offset)

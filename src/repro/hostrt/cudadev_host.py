@@ -30,18 +30,55 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.cuda.driver import CudaDriver, CUfunction
+from repro.cuda.driver import DEVICE_MEM_BASE, CudaDriver, CUfunction
 from repro.cuda.errors import CudaError, CUresult
 from repro.cuda.ptx.jit import JitCache
 from repro.devices.backend import DeviceBackend
 from repro.devices.throughput import ThroughputTracker
 from repro.faults.injector import resolve_faults
 from repro.faults.recovery import (
-    DeviceLost, OffloadFailure, is_lost, is_transient, resolve_recovery,
+    DeviceLost, OffloadFailure, RecoveryPolicy, is_lost, is_transient,
 )
 from repro.hostrt.devices import DeviceModule
 from repro.mem import LinearMemory
+from repro.prof.activity import DeviceRecorder
 from repro.prof.ompt import OmptRegistry
+
+#: address-space stride between per-device memory arenas (4 GiB: well
+#: above any single device's capacity, so device pointers never collide
+#: and the interpreter can attribute a raw address to its device)
+DEVICE_MEM_STRIDE = 0x1_0000_0000
+
+
+def build_devices(runtime, host_mem: Optional[LinearMemory], clock,
+                  ompt: OmptRegistry, jit_cache: Optional[JitCache] = None,
+                  launch_mode: str = "auto") -> list["CudadevModule"]:
+    """One cudadev module per backend of a resolved
+    :class:`~repro.ompi.config.RuntimeConfig` — the device list of both a
+    standalone :class:`~repro.hostrt.ort.Ort` and the offload server.
+
+    The devices share the clock, the OMPT registry and one activity ring
+    (each through a per-device stamping view).  Device ``k`` gets its own
+    memory arena and a fresh fault plan parsed from its spec, seeded with
+    the spec's seed + ``k``, so one shared probabilistic spec does not
+    fail every device on the same draw."""
+    from repro.devrt import build_intrinsics
+    intrinsics = build_intrinsics()
+    prof = runtime.recorder
+    devices = []
+    for k, backend in enumerate(runtime.backends):
+        driver = CudaDriver(
+            backend.props, clock=clock, jit_cache=jit_cache,
+            gmem_base=DEVICE_MEM_BASE + k * DEVICE_MEM_STRIDE,
+            launch_mode=launch_mode, intrinsics=intrinsics,
+            fastpath=runtime.kernel_fastpath,
+            profile=DeviceRecorder(prof, k) if prof is not None else None,
+            faults=resolve_faults(runtime.faults[k], seed_offset=k),
+            sample_blocks=runtime.sample_blocks)
+        driver.faultlog.path = runtime.faults_log
+        devices.append(CudadevModule(host_mem, backend, driver,
+                                     runtime.recovery, ordinal=k, ompt=ompt))
+    return devices
 
 
 class CudadevModule(DeviceModule):
@@ -51,17 +88,10 @@ class CudadevModule(DeviceModule):
         self,
         host_mem: Optional[LinearMemory],
         backend: DeviceBackend,
-        clock=None,
-        jit_cache: Optional[JitCache] = None,
-        launch_mode: str = "auto",
-        fastpath: Optional[str] = None,
-        profile=None,
-        faults=None,
-        recovery=None,
+        driver: CudaDriver,
+        recovery: RecoveryPolicy,
         ordinal: int = 0,
         ompt=None,
-        gmem_base: Optional[int] = None,
-        intrinsics=None,
     ):
         self.host_mem = host_mem
         #: this module's position in the owning Ort's device registry
@@ -72,20 +102,11 @@ class CudadevModule(DeviceModule):
         #: calibrated hint first, refined after every launch
         self.throughput = ThroughputTracker(
             hint=backend.calibrated_throughput())
-        self.recovery = resolve_recovery(recovery)
-        # The module — not the raw driver — resolves the fault spec (and
-        # the REPRO_FAULTS environment variable): faults model *hardware*
-        # misbehaving under a runtime that recovers, so they only make
-        # sense on driver calls that run under this module's policy.
-        driver_kwargs = {}
-        if gmem_base is not None:
-            driver_kwargs["gmem_base"] = gmem_base
-        self.driver = CudaDriver(backend.props, clock=clock,
-                                 jit_cache=jit_cache,
-                                 launch_mode=launch_mode, fastpath=fastpath,
-                                 profile=profile, intrinsics=intrinsics,
-                                 faults=resolve_faults(faults),
-                                 **driver_kwargs)
+        #: the policy every driver call of the module runs under (faults
+        #: are only injected into module-owned drivers: they model
+        #: *hardware* misbehaving under a runtime that recovers)
+        self.recovery = recovery
+        self.driver = driver
         #: OMPT-style tool callbacks (target-begin/end, data-op, submit);
         #: shared with the owning Ort so tools can hook either layer
         self.ompt = ompt if ompt is not None else OmptRegistry()

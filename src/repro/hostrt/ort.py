@@ -11,8 +11,8 @@ are offload targets (each a cudadev GPU with its own driver state, data
 environment, stream pool and fault domain) and the *initial device* (the
 host itself) has id ``omp_get_num_devices()``.  The registry — one named
 :class:`~repro.devices.backend.DeviceBackend` per device — comes from
-:func:`repro.devices.resolve_registry` (default: the single Jetson Nano
-of the paper).
+the resolved :class:`~repro.ompi.config.RuntimeConfig` (default: the
+single Jetson Nano of the paper).
 
 A ``shard(n)`` clause on ``target teams distribute`` splits the team grid
 contiguously across the first ``n`` healthy devices (``n <= 0``: all of
@@ -26,19 +26,16 @@ back into host memory.
 
 from __future__ import annotations
 
-import os
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.cfront.errors import InterpError
 from repro.cfront.interp import Machine, Ptr
-from repro.cuda.driver import DEVICE_MEM_BASE
 from repro.cuda.errors import CudaError
 from repro.cuda.ptx.jit import JitCache
-from repro.devices import resolve_registry
 from repro.faults.recovery import DeviceLost, OffloadFailure
-from repro.hostrt.cudadev_host import CudadevModule
+from repro.hostrt.cudadev_host import CudadevModule, build_devices
 from repro.hostrt.devices import HostDevice
 from repro.hostrt.icv import ICVs
 from repro.hostrt.mapping import (
@@ -47,17 +44,14 @@ from repro.hostrt.mapping import (
 )
 from repro.hostrt.reduction import dtype_of, fold_partials
 from repro.hostrt.team import HostTeamError, TeamStack
-from repro.prof.activity import DeviceRecorder, resolve_profile
 from repro.prof.ompt import OmptRegistry
 from repro.rt_async.taskgraph import (
     DEP_IN, DEP_INOUT, DEP_OUT, OffloadTaskError, StreamPoolScheduler,
 )
 from repro.timing.clock import VirtualClock
 
-#: address-space stride between per-device memory arenas (4 GiB: well
-#: above any single device's capacity, so device pointers never collide
-#: and the interpreter can attribute a raw address to its device)
-DEVICE_MEM_STRIDE = 0x1_0000_0000
+if TYPE_CHECKING:
+    from repro.ompi.config import RuntimeConfig
 
 
 class _ShardScope:
@@ -83,27 +77,31 @@ class Ort:
     def __init__(
         self,
         machine: Machine,
+        runtime: RuntimeConfig,
         clock: Optional[VirtualClock] = None,
         jit_cache: Optional[JitCache] = None,
         launch_mode: str = "auto",
-        fastpath: Optional[str] = None,
-        profile=None,
-        faults=None,
-        recovery=None,
-        num_devices: Optional[int] = None,
         devices: Optional[list] = None,
         dataenvs: Optional[dict] = None,
         ompt: Optional[OmptRegistry] = None,
         default_device: int = 0,
-        backends=None,
         healthy_fn=None,
     ):
         self.machine = machine
+        #: the resolved runtime settings (registry, profiling, faults,
+        #: shard balance) this runtime was built from
+        self.runtime = runtime
         #: optional predicate ``(ordinal) -> bool`` consulted when picking
         #: shard participants — the serving runtime wires its per-device
         #: circuit breakers here so an open (but not yet lost) device is
         #: not handed a shard of new work
         self.healthy_fn = healthy_fn
+        #: one shared activity ring for the whole registry (each device
+        #: stamps its records with its ordinal)
+        self.prof = runtime.recorder
+        #: OMPT-style tool callback registry, shared with every device
+        #: module so callbacks see both runtime- and module-level events
+        self.ompt = ompt if ompt is not None else OmptRegistry()
         if devices is not None:
             # -- leased registry (serving runtime) -----------------------
             # The caller owns the device modules, virtual clock, activity
@@ -114,42 +112,14 @@ class Ort:
             if not devices:
                 raise ValueError("a leased device registry cannot be empty")
             self.clock = clock or devices[0].driver.clock
-            self.prof, self.prof_path = resolve_profile(
-                profile if profile is not None else False)
-            self.ompt = ompt if ompt is not None else OmptRegistry()
             self.devices = list(devices)
             for mod in self.devices:
                 mod.lease_host(machine.heap)
         else:
             self.clock = clock or VirtualClock()
-            backs = resolve_registry(backends, num_devices)
-            #: one shared activity ring for the whole registry; each module
-            #: gets a per-device stamping view so the merged stream stays in
-            #: emission order while every record remains attributable
-            self.prof, self.prof_path = resolve_profile(profile)
-            #: OMPT-style tool callback registry, shared with every device
-            #: module so callbacks see both runtime- and module-level events
-            self.ompt = ompt if ompt is not None else OmptRegistry()
-            from repro.devrt import build_intrinsics
-            intrinsics = build_intrinsics()
             #: offload devices (0..n-1); the initial device is id n
-            self.devices = [
-                CudadevModule(
-                    machine.heap, backend,
-                    clock=self.clock,
-                    jit_cache=jit_cache,
-                    launch_mode=launch_mode, fastpath=fastpath,
-                    profile=(DeviceRecorder(self.prof, k)
-                             if self.prof is not None else False),
-                    faults=(faults.get(k) if isinstance(faults, dict)
-                            else faults),
-                    recovery=recovery, ordinal=k,
-                    ompt=self.ompt,
-                    gmem_base=DEVICE_MEM_BASE + k * DEVICE_MEM_STRIDE,
-                    intrinsics=intrinsics,
-                )
-                for k, backend in enumerate(backs)
-            ]
+            self.devices = build_devices(runtime, machine.heap, self.clock,
+                                         self.ompt, jit_cache, launch_mode)
         self.icvs = ICVs(default_device_var=int(default_device))
         self.cudadev = self.devices[0]
         self.recovery = self.cudadev.recovery
@@ -908,17 +878,16 @@ class Ort:
 
         The default balance mode weighs each device by its measured
         throughput (calibrated hint until the first kernel completes,
-        observed blocks/modelled-second after); ``REPRO_SHARD_BALANCE=
-        equal`` forces the classic equal split.  On a homogeneous
-        registry the weights are uniform and the planner reproduces the
-        legacy ceil-split exactly, so shard boundaries — and therefore
-        every byte of the merge — are unchanged."""
+        observed blocks/modelled-second after); the runtime's
+        ``shard_balance='equal'`` forces the classic equal split.  On a
+        homogeneous registry the weights are uniform and the planner
+        reproduces the legacy ceil-split exactly, so shard boundaries —
+        and therefore every byte of the merge — are unchanged."""
         from repro.devices.throughput import (
             equal_split, plan_shards, registry_weights,
         )
-        mode = os.environ.get("REPRO_SHARD_BALANCE", "throughput").lower()
         names = {self.devices[k].backend.name for k in devices}
-        if mode == "equal" or len(names) < 2:
+        if self.runtime.shard_balance == "equal" or len(names) < 2:
             # homogeneous registry (or balancing disabled): the classic
             # equal split, byte-for-byte — observed rates on identical
             # devices drift a little (fixed overheads amortise differently

@@ -1,4 +1,4 @@
-"""Shared compile cache: source hash + config fingerprint -> program.
+"""Shared compile cache: source hash + codegen config -> program.
 
 The ompicc pipeline is deterministic — the same source text under the
 same codegen-relevant configuration always produces the same outlined
@@ -10,21 +10,22 @@ embedding application, between sessions of different tenants.
 
 * the SHA-256 of the source text,
 * the program name (it prefixes every generated kernel symbol), and
-* the *config fingerprint*: only the :class:`~repro.ompi.config.OmpiConfig`
-  fields that change what the compiler emits (binary mode, target arch,
-  block-geometry knobs).  Runtime-only fields (fastpath, profiling, fault
-  injection, device count) deliberately stay out of the key — a cached
-  program is re-bound to the caller's full config on every hit, so two
-  callers differing only in runtime knobs share one compilation.
+* the config's :class:`~repro.ompi.config.CodegenConfig` fields — only
+  what changes the emitted code (binary mode, target arch, block
+  geometry, reduction lowering).  Runtime fields (fastpath, profiling,
+  fault injection, the registry) are not codegen fields, so they stay
+  out of the key — a cached program is re-bound to the caller's full
+  config on every hit, and two callers differing only in runtime knobs
+  share one compilation.
 
 The in-memory map serves one process; an optional persistent tier
 (:class:`repro.ompi.diskcache.DiskCompileCache`) extends the same keys
 across processes and sessions: an in-memory miss consults the disk
 store before compiling, and every fresh compilation is written back.
-The entry pickled to disk carries a *canonical* config reduced to the
-fingerprint fields — runtime knobs (fastpath, profiling, fault
-injection, recorder objects) never reach the pickle, and every hit is
-re-bound to the caller's full config exactly like an in-memory hit.
+The entry pickled to disk carries only the codegen fields of its config
+— runtime knobs (fastpath, profiling, fault injection, recorder
+objects) never reach the pickle, and every hit is re-bound to the
+caller's full config exactly like an in-memory hit.
 """
 
 from __future__ import annotations
@@ -38,18 +39,6 @@ from repro.ompi.compiler import CompiledProgram, OmpiCompiler
 from repro.ompi.config import OmpiConfig
 
 
-def config_fingerprint(config: OmpiConfig) -> str:
-    """The codegen-relevant slice of a config, as a stable string."""
-    return "|".join((
-        config.binary_mode,
-        config.arch,
-        str(config.mw_block_threads),
-        str(config.default_num_threads),
-        str(config.block_shape),
-        config.reduction_mode,
-    ))
-
-
 def source_key(source: str, name: str = "prog",
                config: Optional[OmpiConfig] = None) -> str:
     """Content-addressed cache key (hex digest) for one compilation."""
@@ -58,7 +47,7 @@ def source_key(source: str, name: str = "prog",
     h.update(b"\x00")
     h.update(name.encode())
     h.update(b"\x00")
-    h.update(config_fingerprint(config or OmpiConfig()).encode())
+    h.update(repr((config or OmpiConfig()).codegen).encode())
     return h.hexdigest()
 
 
@@ -136,16 +125,10 @@ class CompileCache:
         return prog
 
     def _store_disk(self, key: str, prog: CompiledProgram) -> None:
-        # persist with a canonical codegen-only config so runtime objects
-        # (recorders, fault injectors) never reach the pickle
-        canon = OmpiConfig(binary_mode=prog.config.binary_mode,
-                           arch=prog.config.arch,
-                           mw_block_threads=prog.config.mw_block_threads,
-                           default_num_threads=prog.config.default_num_threads,
-                           block_shape=prog.config.block_shape,
-                           reduction_mode=prog.config.reduction_mode)
+        # persist with the codegen fields only, so runtime objects
+        # (recorders, policies) never reach the pickle
         try:
-            self.disk.store(key, replace(prog, config=canon))
+            self.disk.store(key, replace(prog, config=prog.config.codegen))
         except Exception:
             # a full disk or unpicklable image must not fail compilation
             pass

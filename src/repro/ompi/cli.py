@@ -24,8 +24,8 @@ from repro.cuda.nvcc import compile_device
 from repro.cuda.ptx.jit import JitCache
 from repro.cuda.ptx.ptxwriter import module_to_ptx
 from repro.ompi.cache import CompileCache, GLOBAL_COMPILE_CACHE
-from repro.ompi.config import OmpiConfig
-from repro.ompi.diskcache import DiskCompileCache, default_root
+from repro.ompi.config import OmpiConfig, resolve_runtime
+from repro.ompi.diskcache import DiskCompileCache
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -140,24 +140,23 @@ def main(argv: list[str] | None = None) -> int:
                         host_fastpath=args.host_fastpath,
                         devices=args.devices,
                         reduction_mode=args.reduction_mode or "tree")
-    if args.devices:
-        from repro.devices import UnknownBackendError, parse_devices
-        try:
-            primary = parse_devices(args.devices)[0]
-        except UnknownBackendError as exc:
-            print(f"ompicc: {exc}", file=sys.stderr)
-            return 2
-        if args.arch is None:
-            # compile for the primary (first) backend's transformation
-            # set; bind retargets the images for the rest of the registry
-            config = primary.specialize(config)
+    try:
+        rt = resolve_runtime(config)
+    except ValueError as exc:  # unknown backend, malformed policy, ...
+        print(f"ompicc: {exc}", file=sys.stderr)
+        return 2
+    if args.devices and args.arch is None:
+        # compile for the primary (first) backend's transformation set;
+        # bind retargets the images for the rest of the registry
+        config = rt.backends[0].specialize(config)
     # the process-wide compile cache: a repeated ompicc invocation in one
     # process (tests, embedders) reuses the compiled program, and the
     # serving runtime shares the same cache.  The CLI additionally attaches
     # the persistent tier so a second *process* skips codegen too.
     cache = GLOBAL_COMPILE_CACHE
     if not args.no_disk_cache:
-        cache = CompileCache(disk=DiskCompileCache(default_root()))
+        root = rt.cache_dir or Path.home() / ".cache" / "repro-ompi"
+        cache = CompileCache(disk=DiskCompileCache(root))
         cache._cache = GLOBAL_COMPILE_CACHE._cache  # share the warm tier
     try:
         program = cache.get(source, name, config)

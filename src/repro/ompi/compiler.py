@@ -31,7 +31,7 @@ from repro.devices import track_names
 from repro.devrt.api import DEVICE_LIBRARY_HEADER
 from repro.hostrt.ort import Ort
 from repro.ompi.callgraph import kernel_closure
-from repro.ompi.config import OmpiConfig
+from repro.ompi.config import OmpiConfig, resolve_runtime
 from repro.ompi.outline import analyze_target
 from repro.ompi.xform_cuda import CudaKernelBuilder, KernelPlan
 from repro.ompi.xform_host import HostRewriter
@@ -161,30 +161,26 @@ class CompiledProgram:
         devices=None,
     ) -> ProgramRun:
         """Execute the program.  Every runtime argument left None falls
-        back to its :class:`OmpiConfig` field, and from there to its
-        environment variable."""
-        cfg = self.config.overriding(
-            profile=profile, faults=faults, recovery=recovery,
+        back to its :class:`OmpiConfig` field, then to the environment,
+        then to its default (:func:`~repro.ompi.config.resolve_runtime`)."""
+        rt = resolve_runtime(
+            self.config, profile=profile, faults=faults, recovery=recovery,
             num_devices=num_devices, host_fastpath=host_fastpath,
             devices=devices)
         machine = Machine(self.host_unit, heap_capacity=heap_capacity,
-                          host_fastpath=cfg.host_fastpath)
-        ort = Ort(machine, clock=clock, jit_cache=jit_cache,
-                  launch_mode=launch_mode, fastpath=cfg.kernel_fastpath,
-                  profile=cfg.profile, faults=cfg.faults,
-                  recovery=cfg.recovery, num_devices=cfg.num_devices,
-                  backends=cfg.devices)
+                          host_fastpath=rt.host_fastpath)
+        ort = Ort(machine, rt, clock=clock, jit_cache=jit_cache,
+                  launch_mode=launch_mode)
         if ompt:
             for event, fn in ompt.items():
                 ort.ompt.set_callback(event, fn)
         self.bind(ort, seed_arrays=seed_arrays)
         exit_code = machine.run() if main else 0
         ort.taskwait()  # implicit join of outstanding nowait tasks at exit
-        if ort.prof is not None and ort.prof_path:
+        if rt.recorder is not None and rt.trace_path:
             from repro.prof.chrome import write_chrome_trace
-            write_chrome_trace(ort.prof, ort.prof_path,
-                               device_names=track_names(
-                                   [m.backend for m in ort.devices]))
+            write_chrome_trace(rt.recorder, rt.trace_path,
+                               device_names=track_names(rt.backends))
         return ProgramRun(machine, ort, exit_code)
 
 

@@ -12,9 +12,10 @@ parse, no outlining, no device codegen.
 Layout and invariants
 ---------------------
 
-* Store root: ``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro-ompi``
-  (the CLI enables the disk tier by default; the library only uses it
-  when the environment opts in, keeping tests hermetic).
+* Store root: the resolved runtime's ``cache_dir`` (``REPRO_CACHE_DIR``)
+  if set, else ``~/.cache/repro-ompi`` for the CLI (which enables the
+  disk tier by default); the library only uses a store when
+  ``REPRO_CACHE_DIR`` opts in, keeping tests hermetic.
 * Entries live under ``<root>/v<SCHEMA_VERSION>/<key>.pkl``.  The
   schema version is part of the path *and* of each entry's header, so
   a format change simply stops finding old entries (recompile, never
@@ -56,14 +57,6 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 _MAGIC = "repro-ompi-cache"
 
 
-def default_root() -> Path:
-    """The store root the CLI uses: REPRO_CACHE_DIR or ~/.cache/repro-ompi."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro-ompi"
-
-
 class DiskCompileCache:
     """Content-addressed pickle store for compiled programs (module doc)."""
 
@@ -77,15 +70,6 @@ class DiskCompileCache:
         self.evictions = 0
         self.corrupt_dropped = 0
         self.lock_degraded = 0
-
-    @classmethod
-    def from_env(cls) -> Optional["DiskCompileCache"]:
-        """A store at ``$REPRO_CACHE_DIR``, or None when the environment
-        does not opt in (library code stays filesystem-silent by default)."""
-        env = os.environ.get("REPRO_CACHE_DIR")
-        if not env:
-            return None
-        return cls(Path(env))
 
     # -- locking --------------------------------------------------------------
     def _locked(self):

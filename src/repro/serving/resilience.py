@@ -32,7 +32,6 @@ with the same seed reproduce the same transitions bit-for-bit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -51,11 +50,9 @@ def resolve_deadline(spec) -> Optional[float]:
     """Resolve a default per-request deadline *budget* (relative seconds
     of modelled time, applied as ``arrival + budget`` at submit).
 
-    ``None`` consults ``REPRO_SERVE_DEADLINE``; ``""``/``"off"``/
-    ``"none"``/``0`` disable; otherwise a float in seconds.
+    ``None``/``""``/``"off"``/``"none"``/``0`` disable; otherwise a
+    float in seconds.
     """
-    if spec is None:
-        spec = os.environ.get("REPRO_SERVE_DEADLINE")
     if spec is None or spec is False:
         return None
     if isinstance(spec, str):
@@ -97,11 +94,9 @@ _BRK_NUM = {"threshold": ("failure_threshold", int),
 
 
 def resolve_breaker(spec) -> Optional[BreakerPolicy]:
-    """``None`` -> ``REPRO_BREAKER`` env -> defaults; a policy passes
-    through; ``"off"`` disables; a string like
-    ``"threshold=2,cooldown=1e-3,window=0.02"`` is parsed."""
-    if spec is None:
-        spec = os.environ.get("REPRO_BREAKER")
+    """``None`` -> defaults; a policy passes through; ``"off"`` disables;
+    a string like ``"threshold=2,cooldown=1e-3,window=0.02"`` is
+    parsed."""
     if spec is None:
         return BreakerPolicy()
     if isinstance(spec, BreakerPolicy):

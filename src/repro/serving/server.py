@@ -35,29 +35,24 @@ from typing import Optional
 from repro.cfront.errors import CFrontError
 from repro.cuda.nvcc import NvccError
 from repro.cfront.interp import Machine
-from repro.cuda.driver import DEVICE_MEM_BASE
 from repro.cuda.errors import CudaError
-from repro.devices import resolve_registry, track_names
-from repro.faults.injector import FaultInjector, resolve_faults
+from repro.devices import track_names
 from repro.faults.recovery import DeviceLost, OffloadFailure
-from repro.hostrt.cudadev_host import CudadevModule
+from repro.hostrt.cudadev_host import build_devices
 from repro.hostrt.mapping import MappingError
-from repro.hostrt.ort import DEVICE_MEM_STRIDE, Ort
+from repro.hostrt.ort import Ort
 from repro.mem import MemoryError_
 from repro.ompi.cache import GLOBAL_COMPILE_CACHE, CompileCache, source_key
-from repro.ompi.config import OmpiConfig
+from repro.ompi.config import OmpiConfig, resolve_runtime
 from repro.ompi.diskcache import DiskCompileCache
-from repro.prof.activity import (
-    DeviceRecorder, ResilienceActivity, ServingActivity, resolve_profile,
-)
+from repro.prof.activity import ResilienceActivity, ServingActivity
 from repro.prof.ompt import OmptRegistry
 from repro.rt_async.taskgraph import (
     DEP_INOUT, OffloadTaskError, StreamPoolScheduler,
 )
 from repro.serving.quota import QuotaError, QuotaManager, TenantQuota
 from repro.serving.resilience import (
-    CircuitBreaker, DeadlineExceeded, DeviceHealthMonitor, resolve_breaker,
-    resolve_deadline,
+    CircuitBreaker, DeadlineExceeded, DeviceHealthMonitor,
 )
 from repro.serving.scheduler import AdmissionQueue
 from repro.serving.session import (
@@ -96,7 +91,7 @@ class Request:
     heap_capacity: int = DEFAULT_HEAP
     #: absolute simulated-time bound: past it the request is rejected
     #: with a typed DeadlineExceeded instead of served late (None: no
-    #: deadline; the server default comes from REPRO_SERVE_DEADLINE)
+    #: deadline; the server default is its resolved ``serve_deadline``)
     deadline: Optional[float] = None
     status: str = "queued"         # 'queued' | 'done' | 'failed' | 'rejected'
     result: dict = field(default_factory=dict)
@@ -201,55 +196,33 @@ class OffloadServer:
     ):
         self.config = config or OmpiConfig()
         # explicit arguments win over the config, the config over the
-        # environment: the same precedence CompiledProgram.run applies
-        rt = self.config.overriding(
-            num_devices=num_devices, devices=devices, profile=profile,
-            faults=faults, recovery=recovery, serve_deadline=deadline,
-            breaker=breaker)
-        self.backends = resolve_registry(rt.devices, rt.num_devices)
+        # environment: the same resolution CompiledProgram.run applies
+        self.runtime = rt = resolve_runtime(
+            self.config, num_devices=num_devices, devices=devices,
+            profile=profile, faults=faults, recovery=recovery,
+            serve_deadline=deadline, breaker=breaker)
+        self.backends = list(rt.backends)
         num_devices = len(self.backends)
         if compile_cache is not None:
             self.compile_cache = compile_cache
-        else:
+        elif rt.cache_dir is not None:
             # long-lived server: attach the persistent tier when the
-            # operator configured one (REPRO_CACHE_DIR), sharing the
-            # process-wide warm tier either way
-            disk = DiskCompileCache.from_env()
-            if disk is not None:
-                self.compile_cache = CompileCache(disk=disk)
-                self.compile_cache._cache = GLOBAL_COMPILE_CACHE._cache
-            else:
-                self.compile_cache = GLOBAL_COMPILE_CACHE
+            # operator configured one, sharing the process-wide warm tier
+            self.compile_cache = CompileCache(
+                disk=DiskCompileCache(rt.cache_dir))
+            self.compile_cache._cache = GLOBAL_COMPILE_CACHE._cache
+        else:
+            self.compile_cache = GLOBAL_COMPILE_CACHE
         self.launch_mode = launch_mode
         self.max_batch = int(max_batch)
         self.pool_size = int(pool_size)
         self.max_resident_fraction = float(max_resident_fraction)
         self.compact_logs = compact_logs
         self.clock = VirtualClock()
-        self.prof, self.prof_path = resolve_profile(rt.profile)
+        self.prof = rt.recorder
         self.ompt = OmptRegistry()
-        from repro.devrt import build_intrinsics
-        intrinsics = build_intrinsics()
-        # faults: one spec for every device, or {ordinal: spec} so tests
-        # can fault one tenant's device while its neighbours stay healthy
-        fault_map = (rt.faults if isinstance(rt.faults, dict)
-                     else {k: self._decorrelate(rt.faults, k)
-                           for k in range(num_devices)})
-        self.devices = [
-            CudadevModule(
-                None, backend,
-                clock=self.clock,
-                launch_mode=launch_mode,
-                fastpath=self.config.kernel_fastpath,
-                profile=(DeviceRecorder(self.prof, k)
-                         if self.prof is not None else False),
-                faults=fault_map.get(k), recovery=rt.recovery, ordinal=k,
-                ompt=self.ompt,
-                gmem_base=DEVICE_MEM_BASE + k * DEVICE_MEM_STRIDE,
-                intrinsics=intrinsics,
-            )
-            for k, backend in enumerate(self.backends)
-        ]
+        self.devices = build_devices(rt, None, self.clock, self.ompt,
+                                     launch_mode=launch_mode)
         for k, mod in enumerate(self.devices):
             # second-level OOM pressure valve: shed idle sessions' warm
             # state on this device before an allocation gives up
@@ -269,12 +242,11 @@ class OffloadServer:
         #: default relative deadline budget (seconds of modelled time),
         #: applied as arrival + budget at submit; explicit Request
         #: deadlines are absolute and win
-        self.deadline_budget = resolve_deadline(rt.serve_deadline)
-        policy = resolve_breaker(rt.breaker)
+        self.deadline_budget = rt.serve_deadline
         #: per-device circuit breakers (None: breaker disabled via 'off')
-        self.breakers = ([CircuitBreaker(k, policy, note=self._rnote)
+        self.breakers = ([CircuitBreaker(k, rt.breaker, note=self._rnote)
                           for k in range(num_devices)]
-                         if policy is not None else None)
+                         if rt.breaker is not None else None)
         self.health = DeviceHealthMonitor(self.devices, self.clock)
         self.max_retries = int(max_retries)
         #: devices under a planned drain (excluded from placement/routing)
@@ -285,20 +257,6 @@ class OffloadServer:
         self._session_fault: set[int] = set()
         # TTFL probe: the first kernel submission of the executing request
         self.ompt.set_callback("submit", self._on_submit)
-
-    @staticmethod
-    def _decorrelate(faults, k: int):
-        """One shared fault spec must not fire identically on every
-        device: device ``k`` re-seeds the resolved plan with ``seed + k``
-        (device 0 keeps the spec's own seed).  Explicitly-passed
-        FaultInjector objects are the caller's to seed and pass through
-        untouched, as do per-device ``{ordinal: spec}`` maps."""
-        if k == 0:
-            return faults
-        inj = resolve_faults(faults)   # None consults REPRO_FAULTS
-        if inj is None or inj is faults:
-            return faults
-        return FaultInjector(inj.plan, seed=inj.seed + k)
 
     # -- lifecycle ------------------------------------------------------------
     def __enter__(self) -> "OffloadServer":
@@ -318,9 +276,9 @@ class OffloadServer:
             sched.shutdown()
         self._sched.clear()
         self.closed = True
-        if self.prof is not None and self.prof_path:
+        if self.prof is not None and self.runtime.trace_path:
             from repro.prof.chrome import write_chrome_trace
-            write_chrome_trace(self.prof, self.prof_path,
+            write_chrome_trace(self.prof, self.runtime.trace_path,
                                compile_cache=self.compile_cache,
                                device_names=track_names(self.backends))
 
@@ -648,7 +606,7 @@ class OffloadServer:
             prog = self.compile_cache.get(req.source, req.name, self.config)
             machine = Machine(prog.host_unit,
                               heap_capacity=req.heap_capacity,
-                              host_fastpath=self.config.host_fastpath)
+                              host_fastpath=self.runtime.host_fastpath)
             if task is not None:
                 mod.base_stream = task.stream
             dataenvs = {
@@ -657,9 +615,8 @@ class OffloadServer:
                                   self if j == session.device else None)
                 for j, m in enumerate(self.devices)
             }
-            ort = Ort(machine, clock=self.clock, devices=self.devices,
-                      dataenvs=dataenvs, ompt=self.ompt,
-                      profile=self.prof if self.prof is not None else False,
+            ort = Ort(machine, self.runtime, clock=self.clock,
+                      devices=self.devices, dataenvs=dataenvs, ompt=self.ompt,
                       default_device=session.device,
                       healthy_fn=self._shard_ok)
             prog.bind(ort, seed_arrays=req.seed_arrays)

@@ -18,7 +18,7 @@ from repro.devices import (
     parse_devices, plan_shards, resolve_registry,
 )
 from repro.devices.throughput import equal_split
-from repro.ompi.cache import CompileCache, config_fingerprint
+from repro.ompi.cache import CompileCache, source_key
 from repro.ompi.compiler import OmpiCompiler
 from repro.ompi.config import OmpiConfig
 
@@ -65,18 +65,12 @@ def test_parse_devices_accepts_spec_and_sequences():
         parse_devices("")
 
 
-def test_resolve_registry_precedence(monkeypatch):
+def test_resolve_registry_precedence():
     def names(*args, **kw):
         return [b.name for b in resolve_registry(*args, **kw)]
-    monkeypatch.delenv("REPRO_DEVICES", raising=False)
-    monkeypatch.delenv("REPRO_NUM_DEVICES", raising=False)
     assert names() == ["nano"]                      # the default
-    monkeypatch.setenv("REPRO_NUM_DEVICES", "3")
-    assert names() == ["nano"] * 3
-    monkeypatch.setenv("REPRO_DEVICES", "nano,tx2")
-    assert names() == ["nano", "tx2"]               # beats REPRO_NUM_DEVICES
-    assert names(num_devices=2) == ["nano", "nano"]  # explicit count wins
-    # an explicit spec wins over everything, including an explicit count
+    assert names(num_devices=2) == ["nano", "nano"]
+    # a spec wins over a count
     assert names("v100", num_devices=2) == ["v100"]
     with pytest.raises(ValueError, match="num_devices"):
         resolve_registry(num_devices=0)
@@ -98,7 +92,8 @@ int main(void)
 
 def test_one_config_means_the_same_at_every_entry_point(monkeypatch):
     """``CompiledProgram.run`` and ``OffloadServer`` read one OmpiConfig
-    the same way: registry, faults, profiling and the host mode."""
+    the same way: registry, faults (seeded alike per device), profiling
+    and the host mode."""
     import repro.serving.server as server_mod
     from repro.faults.injector import FaultInjector
     from repro.prof.activity import ActivityRecorder
@@ -110,6 +105,8 @@ def test_one_config_means_the_same_at_every_entry_point(monkeypatch):
     assert run.ort.num_devices == 3
     assert all(isinstance(m.driver.faults, FaultInjector)
                for m in run.ort.devices)
+    run_seeds = [m.driver.faults.seed for m in run.ort.devices]
+    assert run_seeds == [1, 2, 3]
     assert isinstance(run.ort.prof, ActivityRecorder)
     assert run.machine.host_fastpath == "off"
 
@@ -125,6 +122,7 @@ def test_one_config_means_the_same_at_every_entry_point(monkeypatch):
         assert server.num_devices == 3
         assert all(isinstance(m.driver.faults, FaultInjector)
                    for m in server.devices)
+        assert [m.driver.faults.seed for m in server.devices] == run_seeds
         assert isinstance(server.prof, ActivityRecorder)
         req = server.submit(server.open_session(), ENTRY_SRC, name="entry",
                             outputs=("v",))
@@ -135,6 +133,22 @@ def test_one_config_means_the_same_at_every_entry_point(monkeypatch):
                           run.machine.global_array("v"))
     assert [m.backend.name for m in server.devices] \
         == [m.backend.name for m in run.ort.devices] == ["nano"] * 3
+
+
+def test_fault_map_leaves_omitted_devices_fault_free(monkeypatch):
+    """An explicit {ordinal: spec} map is the whole fault plan: the
+    devices it leaves out do not fall back to REPRO_FAULTS."""
+    from repro.serving import OffloadServer
+
+    monkeypatch.setenv("REPRO_FAULTS", "transient:seed=42")
+    faults = {1: "device_unavailable@cuLaunchKernel:count=1,sticky=1"}
+    prog = OmpiCompiler(OmpiConfig()).compile(ENTRY_SRC, "fmap")
+    run = prog.run(devices="nano,v100", faults=faults)
+    assert run.ort.devices[0].driver.faults is None
+    assert run.ort.devices[1].driver.faults is not None
+    with OffloadServer(devices="nano,v100", faults=faults) as server:
+        assert server.devices[0].driver.faults is None
+        assert server.devices[1].driver.faults is not None
 
 
 def test_v100_profile_and_calibration():
@@ -366,7 +380,8 @@ int main(void) {
 def test_compile_cache_keys_separate_arches():
     cfg53 = OmpiConfig(arch="sm_53")
     cfg70 = OmpiConfig(arch="sm_70")
-    assert config_fingerprint(cfg53) != config_fingerprint(cfg70)
+    assert source_key(KERNEL_SRC, "karch", cfg53) \
+        != source_key(KERNEL_SRC, "karch", cfg70)
     cache = CompileCache()
     p53 = cache.get(KERNEL_SRC, "karch", cfg53)
     p70 = cache.get(KERNEL_SRC, "karch", cfg70)

@@ -11,7 +11,7 @@ from repro.cuda.driver import CudaDriver
 from repro.cuda.errors import CudaError, CUresult
 from repro.cuda.nvcc import compile_device
 from repro.faults import (
-    FaultInjector, FaultLog, FaultPlan, FaultSpecError, RecoveryPolicy,
+    FaultLog, FaultPlan, FaultSpecError, RecoveryPolicy,
     resolve_faults, resolve_recovery,
 )
 from repro.hostrt.devices import HostDevice
@@ -105,14 +105,6 @@ def test_spec_errors_and_off():
     assert resolve_faults("") is None
     assert resolve_faults(False) is None
     assert resolve_faults("none") is None
-
-
-def test_resolve_faults_env(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "oom@cuMemAlloc:count=1")
-    inj = resolve_faults(None)
-    assert isinstance(inj, FaultInjector)
-    monkeypatch.setenv("REPRO_FAULTS", "off")
-    assert resolve_faults(None) is None
 
 
 def test_resolve_recovery_parsing():

@@ -76,16 +76,15 @@ def _run_host(mode: str) -> Machine:
 # Mode resolution
 # ---------------------------------------------------------------------------
 
-def test_resolve_explicit_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_HOST_FASTPATH", "off")
-    assert resolve_host_fastpath("verify") == "verify"
-
-
 def test_resolve_env_and_default(monkeypatch):
-    monkeypatch.delenv("REPRO_HOST_FASTPATH", raising=False)
     assert resolve_host_fastpath(None) == "on"
+    assert resolve_host_fastpath("verify") == "verify"
+    # a Machine built directly, outside any entry point, still takes its
+    # default mode from the environment
+    unit = parse_translation_unit("int main(void) { return 0; }")
     monkeypatch.setenv("REPRO_HOST_FASTPATH", "verify")
-    assert resolve_host_fastpath(None) == "verify"
+    assert Machine(unit).host_fastpath == "verify"
+    assert Machine(unit, host_fastpath="off").host_fastpath == "off"
 
 
 def test_resolve_rejects_unknown():

@@ -111,8 +111,7 @@ def test_record_filters_and_identity():
     assert rec.records("kernel")[0].to_dict()["wall_s"] == 1.23
 
 
-def test_resolve_profile_specs(monkeypatch):
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
+def test_resolve_profile_specs():
     assert resolve_profile(None) == (None, None)
     assert resolve_profile(False) == (None, None)
     assert resolve_profile("off") == (None, None)
@@ -124,12 +123,6 @@ def test_resolve_profile_specs(monkeypatch):
     assert isinstance(rec, ActivityRecorder) and path == "trace.json"
     mine = ActivityRecorder()
     assert resolve_profile(mine) == (mine, None)
-    monkeypatch.setenv("REPRO_PROFILE", "1")
-    rec, path = resolve_profile(None)
-    assert isinstance(rec, ActivityRecorder) and path is None
-    monkeypatch.setenv("REPRO_PROFILE", "out.json")
-    rec, path = resolve_profile(None)
-    assert path == "out.json"
 
 
 # -- zero emission when disabled ----------------------------------------------
@@ -168,7 +161,7 @@ def test_records_identical_across_fastpath_modes():
 # -- driver-level records ------------------------------------------------------
 
 def test_kernel_record_carries_launch_geometry_and_counters():
-    drv = make_driver(profile=True)
+    drv = make_driver(profile=ActivityRecorder())
     handle = drv.cuModuleLoadData(compile_device(SCALE_SRC, "m"))
     fn = drv.cuModuleGetFunction(handle, "scale")
     n = 256
@@ -188,7 +181,7 @@ def test_kernel_record_carries_launch_geometry_and_counters():
 
 
 def test_memcpy_records_have_bytes_and_bandwidth():
-    drv = make_driver(profile=True)
+    drv = make_driver(profile=ActivityRecorder())
     ptr = drv.cuMemAlloc(1 << 16)
     drv.cuMemcpyHtoD(ptr, np.zeros(1 << 14, dtype=np.float32))
     drv.cuMemcpyDtoH(ptr, 1 << 16)
@@ -200,7 +193,7 @@ def test_memcpy_records_have_bytes_and_bandwidth():
 
 
 def test_memory_records_track_watermark():
-    drv = make_driver(profile=True)
+    drv = make_driver(profile=ActivityRecorder())
     a = drv.cuMemAlloc(1024)
     b = drv.cuMemAlloc(2048)
     drv.cuMemFree(a)
@@ -212,7 +205,7 @@ def test_memory_records_track_watermark():
 
 
 def test_stream_wait_records_only_real_stalls():
-    drv = make_driver(profile=True)
+    drv = make_driver(profile=ActivityRecorder())
     fast = drv.cuStreamCreate(flags=0x1)
     slow = drv.cuStreamCreate(flags=0x1)
     ptr = drv.cuMemAlloc(1 << 20)

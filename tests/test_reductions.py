@@ -206,9 +206,9 @@ def test_atomic_merge_int_maxmin_keeps_hardware_atomics():
 
 
 def test_reduction_mode_enters_compile_cache_fingerprint():
-    from repro.ompi.cache import config_fingerprint
-    tree = config_fingerprint(OmpiConfig(reduction_mode="tree"))
-    atomic = config_fingerprint(OmpiConfig(reduction_mode="atomic"))
+    from repro.ompi.cache import source_key
+    tree = source_key("", "p", OmpiConfig(reduction_mode="tree"))
+    atomic = source_key("", "p", OmpiConfig(reduction_mode="atomic"))
     assert tree != atomic
 
 

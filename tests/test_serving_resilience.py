@@ -46,8 +46,7 @@ def _standalone(source, name, seed_arrays, outputs):
 # Policy resolution
 # ---------------------------------------------------------------------------
 
-def test_resolve_deadline(monkeypatch):
-    monkeypatch.delenv("REPRO_SERVE_DEADLINE", raising=False)
+def test_resolve_deadline():
     assert resolve_deadline(None) is None
     assert resolve_deadline("off") is None
     assert resolve_deadline("") is None
@@ -55,14 +54,9 @@ def test_resolve_deadline(monkeypatch):
     assert resolve_deadline(-1.0) is None
     assert resolve_deadline("2.5e-3") == 2.5e-3
     assert resolve_deadline(0.01) == 0.01
-    monkeypatch.setenv("REPRO_SERVE_DEADLINE", "5e-3")
-    assert resolve_deadline(None) == 5e-3
-    monkeypatch.setenv("REPRO_SERVE_DEADLINE", "off")
-    assert resolve_deadline(None) is None
 
 
-def test_resolve_breaker(monkeypatch):
-    monkeypatch.delenv("REPRO_BREAKER", raising=False)
+def test_resolve_breaker():
     assert resolve_breaker(None) == BreakerPolicy()   # on by default
     assert resolve_breaker("off") is None
     assert resolve_breaker("on") == BreakerPolicy()
@@ -72,10 +66,6 @@ def test_resolve_breaker(monkeypatch):
     assert policy.window_s == 0.02
     with pytest.raises(ValueError, match="unknown breaker option"):
         resolve_breaker("frobnicate=1")
-    monkeypatch.setenv("REPRO_BREAKER", "threshold=7")
-    assert resolve_breaker(None).failure_threshold == 7
-    monkeypatch.setenv("REPRO_BREAKER", "off")
-    assert resolve_breaker(None) is None
 
 
 # ---------------------------------------------------------------------------
