@@ -353,9 +353,3 @@ class TranslationUnit(Node):
 
     def functions(self) -> list[FuncDef]:
         return [d for d in self.decls if isinstance(d, FuncDef)]
-
-    def find_function(self, name: str) -> Optional[FuncDef]:
-        for d in self.decls:
-            if isinstance(d, FuncDef) and d.name == name:
-                return d
-        return None

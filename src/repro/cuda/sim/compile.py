@@ -16,6 +16,8 @@ vectors:
 * predicated control flow (``IfOp``/``LoopOp``) keeps the exact
   mask-algebra of the interpreter, bit for bit, including divergence and
   loop-iteration counters;
+* loads and stores call ``FunctionalEngine.mem_load``/``mem_store``,
+  the one memory-access routine the tree-walker uses too;
 * anything stateful or rare (intrinsic calls, atomics, printf, barriers)
   delegates to the original ``WarpExec`` methods so the semantics cannot
   drift.
@@ -101,56 +103,6 @@ def _reg(regs: dict, name: str, dtype: np.dtype) -> np.ndarray:
     return arr
 
 
-def _fload(engine, warp, addrs, dtype, mask):
-    """Streamlined ``FunctionalEngine.mem_load`` (identical semantics)."""
-    if not mask.any():
-        # predicated off: mirrors mem_load's early return exactly (no
-        # stats, no space resolution) so verify mode stays bit-identical
-        return np.zeros(WARP_SIZE, dtype=dtype)
-    stats = engine.stats
-    stats.load_instructions += 1
-    stats.instructions += 1
-    a = np.asarray(addrs, dtype=np.uint64)
-    if a.shape != (WARP_SIZE,):
-        a = np.broadcast_to(a, (WARP_SIZE,))
-    full = mask.all()
-    space = engine.resolve_space(
-        warp, int(a[0]) if full else int(a[np.argmax(mask)]))
-    engine._note_mem(space, a, dtype.itemsize, mask)
-    if full:
-        return space.gather(a, dtype)
-    out = np.zeros(WARP_SIZE, dtype=dtype)
-    out[mask] = space.gather(a[mask], dtype)
-    return out
-
-
-def _fstore(engine, warp, addrs, dtype, values, mask):
-    """Streamlined ``FunctionalEngine.mem_store`` (identical semantics)."""
-    if not mask.any():
-        return  # predicated off: mirrors mem_store's early return
-    stats = engine.stats
-    stats.store_instructions += 1
-    stats.instructions += 1
-    a = np.asarray(addrs, dtype=np.uint64)
-    if a.shape != (WARP_SIZE,):
-        a = np.broadcast_to(a, (WARP_SIZE,))
-    v = np.asarray(values)
-    if v.shape != (WARP_SIZE,):
-        v = np.broadcast_to(v, (WARP_SIZE,))
-    full = mask.all()
-    space = engine.resolve_space(
-        warp, int(a[0]) if full else int(a[np.argmax(mask)]))
-    engine._note_mem(space, a, dtype.itemsize, mask)
-    if v.dtype.kind == "f" and dtype.kind in "iu":
-        v = np.trunc(v)
-    if full:
-        with np.errstate(over="ignore", invalid="ignore"):
-            space.scatter(a, dtype, v.astype(dtype, casting="unsafe"))
-        return
-    with np.errstate(over="ignore", invalid="ignore"):
-        space.scatter(a[mask], dtype, v[mask].astype(dtype, casting="unsafe"))
-
-
 def _ldargv(warp, idx: int, dtype: np.dtype) -> np.ndarray:
     """Full-width, dtype-cast view of subfunction argument ``idx``
     (elementwise identical to what ``setreg`` would write)."""
@@ -176,8 +128,8 @@ def _barcnt(v) -> int:
 _GLOBALS = {
     "np": np, "_SHP": (WARP_SIZE,), "_Z": _Z, "_LANEID": _LANEID,
     "_reg": _reg, "_cs": _cast_scalar, "_cv": _cast_vec, "_cvt": _convert,
-    "_bop": _binop, "_fload": _fload, "_fstore": _fstore,
-    "_ldargv": _ldargv, "_barid": _barid, "_barcnt": _barcnt,
+    "_bop": _binop, "_ldargv": _ldargv, "_barid": _barid,
+    "_barcnt": _barcnt,
 }
 
 
@@ -772,7 +724,7 @@ class _FnGen:
                 alu[bucket(op.dst.dtype, op.op in _SPECIAL)] += 1
             elif cls in (Mov, SelOp, Cvt, Sreg, CallOp):
                 instr += 1
-            # Ld/St stats are bumped inside _fload/_fstore
+            # Ld/St stats are bumped inside engine.mem_load/mem_store
         self.guard_open(maybe_empty)
         if instr:
             self.w(f"stats.instructions += {instr}")
@@ -811,14 +763,14 @@ class _FnGen:
         elif cls is Ld:
             a = self.operand(op.addr)
             dt = np_dtype(op.dst.dtype)
-            v = _Val(f"_fload(engine, warp, {a.text}, {self.kc.dt(dt)}, m)",
+            v = _Val(f"engine.mem_load(warp, {a.text}, {self.kc.dt(dt)}, m)",
                      dt, False, pure=False, refs=a.refs)
             self.write_dst(op.dst, v, impure=True)
         elif cls is St:
             a = self.operand(op.addr)
             val = self.operand(op.value)
             dt = np_dtype(op.dtype)
-            self.w(f"_fstore(engine, warp, {a.text}, {self.kc.dt(dt)}, "
+            self.w(f"engine.mem_store(warp, {a.text}, {self.kc.dt(dt)}, "
                    f"{val.text}, m)")
         elif cls is CallOp:
             self.emit_pseudo(op)

@@ -12,8 +12,8 @@ warp size — enforced, since the paper's runtime rounds N up to W*ceil(N/W)).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Iterable, Optional
 
 import numpy as np
 
@@ -21,9 +21,7 @@ from repro.cuda.device import DeviceProperties, Dim3
 from repro.cuda.ptx.ir import Atom, BarOp, CallOp, KernelIR, LoopOp, walk_ops
 from repro.cuda.ptx.lower import LOCAL_WINDOW_BASE, SHARED_WINDOW_BASE
 from repro.cuda.sim.coalesce import transactions
-from repro.cuda.sim.compile import (
-    CompiledKernelCache, CompiledWarpExec, compile_kernel,
-)
+from repro.cuda.sim.compile import CompiledKernelCache, CompiledWarpExec
 from repro.cuda.sim.warp import WARP_SIZE, WarpExec
 from repro.mem import LinearMemory
 from repro.prof.activity import KernelExecActivity
@@ -77,6 +75,16 @@ class KernelStats:
     model prices); ALU counters additionally track active-lane work.
     """
 
+    #: the dynamic counters: the fields a sampled launch extrapolates to
+    #: the whole grid (a ClassVar, so not a field itself)
+    COUNTERS: ClassVar[tuple[str, ...]] = (
+        "instructions", "alu_f32", "alu_f64", "alu_int", "special_ops",
+        "load_instructions", "store_instructions",
+        "global_mem_instructions", "global_transactions",
+        "shared_accesses", "local_accesses", "barriers", "atomics",
+        "divergent_branches", "loop_iterations", "spins",
+    )
+
     instructions: int = 0
     alu_f32: int = 0
     alu_f64: int = 0
@@ -118,13 +126,7 @@ class KernelStats:
     def merge_scaled(self, other: "KernelStats", factor: float) -> None:
         """Accumulate ``other`` scaled by ``factor`` (representative-block
         extrapolation in the timing engine)."""
-        for name in (
-            "instructions", "alu_f32", "alu_f64", "alu_int", "special_ops",
-            "load_instructions", "store_instructions",
-            "global_mem_instructions", "global_transactions",
-            "shared_accesses", "local_accesses", "barriers", "atomics",
-            "divergent_branches", "loop_iterations", "spins",
-        ):
+        for name in self.COUNTERS:
             setattr(self, name, getattr(self, name) + int(getattr(other, name) * factor))
 
 
@@ -175,14 +177,14 @@ class FunctionalEngine:
         self.intrinsics = intrinsics or {}
         self.module_globals = module_globals or {}
         self.fastpath = fastpath
-        self.compile_cache = compile_cache
+        self.compile_cache = (compile_cache if compile_cache is not None
+                              else CompiledKernelCache())
         #: optional repro.prof.activity.ActivityRecorder: every functional
         #: execution emits one kernel_exec record with the dynamic counters
         #: of what actually ran.  The record is produced here — above the
         #: tree-walk/compiled split — so both execution paths emit
         #: byte-identical records (asserted by tests/test_prof.py).
         self.recorder = recorder
-        self._local_compiled: dict[int, tuple] = {}
         self.stdout: list[str] = []
         self.stats = KernelStats()
         self._loop_block_cache: dict[int, bool] = {}
@@ -211,29 +213,45 @@ class FunctionalEngine:
             # issues, no transaction is counted — and addrs may be garbage,
             # so resolve_space must not look at them
             return np.zeros(WARP_SIZE, dtype=dtype)
-        self.stats.load_instructions += 1
-        self.stats.instructions += 1
-        addrs = np.broadcast_to(np.asarray(addrs, dtype=np.uint64), (WARP_SIZE,))
-        space = self.resolve_space(warp, int(addrs[np.argmax(mask)]))
-        self._note_mem(space, addrs, dtype.itemsize, mask)
+        stats = self.stats
+        stats.load_instructions += 1
+        stats.instructions += 1
+        a = np.asarray(addrs, dtype=np.uint64)
+        if a.shape != (WARP_SIZE,):
+            a = np.broadcast_to(a, (WARP_SIZE,))
+        full = mask.all()
+        space = self.resolve_space(
+            warp, int(a[0]) if full else int(a[np.argmax(mask)]))
+        self._note_mem(space, a, dtype.itemsize, mask)
+        if full:
+            return space.gather(a, dtype)
         out = np.zeros(WARP_SIZE, dtype=dtype)
-        out[mask] = space.gather(addrs[mask], dtype)
+        out[mask] = space.gather(a[mask], dtype)
         return out
 
     def mem_store(self, warp: WarpExec, addrs, dtype: np.dtype, values,
                   mask: np.ndarray) -> None:
         if not mask.any():
             return  # predicated off: no instruction, no transaction
-        self.stats.store_instructions += 1
-        self.stats.instructions += 1
-        addrs = np.broadcast_to(np.asarray(addrs, dtype=np.uint64), (WARP_SIZE,))
-        values = np.broadcast_to(np.asarray(values), (WARP_SIZE,))
-        space = self.resolve_space(warp, int(addrs[np.argmax(mask)]))
-        self._note_mem(space, addrs, dtype.itemsize, mask)
-        if values.dtype.kind == "f" and dtype.kind in "iu":
-            values = np.trunc(values)
+        stats = self.stats
+        stats.store_instructions += 1
+        stats.instructions += 1
+        a = np.asarray(addrs, dtype=np.uint64)
+        if a.shape != (WARP_SIZE,):
+            a = np.broadcast_to(a, (WARP_SIZE,))
+        v = np.asarray(values)
+        if v.shape != (WARP_SIZE,):
+            v = np.broadcast_to(v, (WARP_SIZE,))
+        full = mask.all()
+        space = self.resolve_space(
+            warp, int(a[0]) if full else int(a[np.argmax(mask)]))
+        self._note_mem(space, a, dtype.itemsize, mask)
+        if v.dtype.kind == "f" and dtype.kind in "iu":
+            v = np.trunc(v)
+        if not full:
+            a, v = a[mask], v[mask]
         with np.errstate(over="ignore", invalid="ignore"):
-            space.scatter(addrs[mask], dtype, values[mask].astype(dtype, casting="unsafe"))
+            space.scatter(a, dtype, v.astype(dtype, casting="unsafe"))
 
     def _note_mem(self, space: LinearMemory, addrs, itemsize, mask) -> None:
         if space is self.gmem:
@@ -268,17 +286,16 @@ class FunctionalEngine:
         params: list,
         only_blocks: Optional[Iterable[tuple[int, int, int]]] = None,
         only_warps: Optional[set[int]] = None,
-        fresh_stats: bool = True,
     ) -> KernelStats:
         compiled = None
         if self.fastpath != "off":
-            compiled = self._compiled_for(kernel)
-        if compiled is not None and self.fastpath == "verify" and fresh_stats:
+            compiled = self.compile_cache.get(kernel)
+        if compiled is not None and self.fastpath == "verify":
             stats = self._launch_verified(kernel, grid, block, params,
                                           only_blocks, only_warps, compiled)
         else:
             stats = self._launch(kernel, grid, block, params, only_blocks,
-                                 only_warps, fresh_stats, compiled)
+                                 only_warps, compiled)
         if self.recorder is not None:
             self.recorder.emit(KernelExecActivity(
                 name=kernel.name, grid=stats.grid, block=stats.block,
@@ -294,45 +311,41 @@ class FunctionalEngine:
             ))
         return stats
 
-    def _compiled_for(self, kernel: KernelIR):
-        if self.compile_cache is not None:
-            return self.compile_cache.get(kernel)
-        entry = self._local_compiled.get(id(kernel))
-        if entry is None:
-            try:
-                entry = (kernel, compile_kernel(kernel))
-            except Exception:
-                entry = (kernel, None)
-            self._local_compiled[id(kernel)] = entry
-        return entry[1]
-
     def _launch_verified(self, kernel, grid, block, params, only_blocks,
                          only_warps, compiled) -> KernelStats:
         """Differential execution: run the compiled fast path, roll global
         memory back, run the tree-walker, and require bit-identical global
-        memory, stdout and ``KernelStats``."""
-        import dataclasses
+        memory, stdout and ``KernelStats``.
 
-        buf_snap = self.gmem.buf.copy()
-        free_snap = list(self.gmem._free)
-        alloc_snap = dict(self.gmem._allocated)
+        Only the prefix of global memory below its high-water mark is
+        copied and compared: every byte above the mark is zero in both
+        runs, and the arena is gigabytes while a launch touches little."""
+        gmem = self.gmem
+        mark = gmem.high_water
+        buf_snap = gmem.buf[:mark].copy()
+        free_snap = list(gmem._free)
+        alloc_snap = dict(gmem._allocated)
         out_mark = len(self.stdout)
         fast = self._launch(kernel, grid, block, params, only_blocks,
-                            only_warps, True, compiled)
-        fast_buf = self.gmem.buf.copy()
+                            only_warps, compiled)
+        fast_mark = gmem.high_water
+        fast_buf = gmem.buf[:fast_mark].copy()
         fast_out = self.stdout[out_mark:]
-        self.gmem.buf[:] = buf_snap
-        self.gmem._free = free_snap
-        self.gmem._allocated = alloc_snap
+        gmem.buf[:mark] = buf_snap
+        gmem.buf[mark:fast_mark] = 0
+        gmem._free = free_snap
+        gmem._allocated = alloc_snap
         del self.stdout[out_mark:]
         ref = self._launch(kernel, grid, block, params, only_blocks,
-                           only_warps, True, None)
+                           only_warps, None)
         problems = []
-        if not np.array_equal(self.gmem.buf, fast_buf):
+        # the mark never falls, so the reference run's mark is >= fast_mark
+        if not (np.array_equal(gmem.buf[:fast_mark], fast_buf)
+                and not gmem.buf[fast_mark:gmem.high_water].any()):
             problems.append("global memory")
         if self.stdout[out_mark:] != fast_out:
             problems.append("stdout")
-        for fld in dataclasses.fields(KernelStats):
+        for fld in fields(KernelStats):
             if getattr(fast, fld.name) != getattr(ref, fld.name):
                 problems.append(f"stats.{fld.name}")
         if problems:
@@ -350,15 +363,12 @@ class FunctionalEngine:
         params: list,
         only_blocks: Optional[Iterable[tuple[int, int, int]]] = None,
         only_warps: Optional[set[int]] = None,
-        fresh_stats: bool = True,
         compiled=None,
     ) -> KernelStats:
         grid = Dim3.of(grid)
         block = Dim3.of(block)
         self._validate_launch(kernel, grid, block)
-        if fresh_stats:
-            self.stats = KernelStats()
-        stats = self.stats
+        self.stats = stats = KernelStats()
         stats.grid = (grid.x, grid.y, grid.z)
         stats.block = (block.x, block.y, block.z)
         stats.smem_per_block = kernel.smem_static

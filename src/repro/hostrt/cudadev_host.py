@@ -52,7 +52,7 @@ DEVICE_MEM_STRIDE = 0x1_0000_0000
 
 def build_devices(runtime, host_mem: Optional[LinearMemory], clock,
                   ompt: OmptRegistry, jit_cache: Optional[JitCache] = None,
-                  launch_mode: str = "auto") -> list["CudadevModule"]:
+                  launch_mode: str = "full") -> list["CudadevModule"]:
     """One cudadev module per backend of a resolved
     :class:`~repro.ompi.config.RuntimeConfig` — the device list of both a
     standalone :class:`~repro.hostrt.ort.Ort` and the offload server.
@@ -430,13 +430,6 @@ class CudadevModule(DeviceModule):
             "cuMemcpyPeer",
             lambda: self.driver.cuMemcpyPeer(dst_addr, dst_module.driver,
                                              src_addr, size, stream=stream))
-
-    @property
-    def shard_weight(self) -> float:
-        """Relative throughput weight the shard planner uses for this
-        device: observed kernel rate when available, else the backend's
-        calibrated hint."""
-        return self.throughput.weight
 
     @property
     def shard_stream(self) -> int:

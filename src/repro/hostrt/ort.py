@@ -80,7 +80,7 @@ class Ort:
         runtime: RuntimeConfig,
         clock: Optional[VirtualClock] = None,
         jit_cache: Optional[JitCache] = None,
-        launch_mode: str = "auto",
+        launch_mode: str = "full",
         devices: Optional[list] = None,
         dataenvs: Optional[dict] = None,
         ompt: Optional[OmptRegistry] = None,

@@ -69,6 +69,14 @@ class LinearMemory:
         self.buf = np.zeros(self.capacity, dtype=np.uint8)
         self._free: list[_Block] = [_Block(self.base, self.capacity)]
         self._allocated: dict[int, int] = {}  # addr -> size
+        #: offset just past the highest byte ever allocated or written
+        #: (through any method here, views included): every byte at or
+        #: above it is still zero
+        self.high_water = 0
+
+    def _touch(self, end: int) -> None:
+        if end > self.high_water:
+            self.high_water = end
 
     # -- allocation ---------------------------------------------------------
     def alloc(self, size: int, align: int = 16) -> int:
@@ -89,6 +97,7 @@ class LinearMemory:
                     else:
                         self._free[i] = _Block(addr + size, blk.size - size)
                 self._allocated[addr] = size
+                self._touch(addr - self.base + size)
                 return addr
         raise MemoryError_(
             f"{self.name}: out of memory allocating {size} bytes "
@@ -136,6 +145,8 @@ class LinearMemory:
     def store(self, addr: int, dtype: np.dtype, value) -> None:
         dt = np.dtype(dtype)
         off = self._check(addr, dt.itemsize)
+        if off + dt.itemsize > self.high_water:   # inline _touch: hot path
+            self.high_water = off + dt.itemsize
         if dt.kind in "iu":
             # Wrap like a C narrowing conversion (two's complement).
             bits = 8 * dt.itemsize
@@ -150,7 +161,10 @@ class LinearMemory:
         """A writable numpy view of ``count`` elements at ``addr``."""
         dt = np.dtype(dtype)
         off = self._check(addr, count * dt.itemsize)
-        return self.buf[off : off + count * dt.itemsize].view(dt)
+        end = off + count * dt.itemsize
+        if end > self.high_water:                 # inline _touch: hot path
+            self.high_water = end
+        return self.buf[off:end].view(dt)
 
     def gather(self, addrs: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """Vector load at per-lane byte addresses (SIMT warp loads)."""
@@ -198,10 +212,15 @@ class LinearMemory:
                 end = start + (n - 1) * step + dt.itemsize
                 if start < 0 or end > self.capacity:
                     raise MemoryError_(f"{self.name}: vector store out of range")
+                if end > self.high_water:
+                    self.high_water = end
                 self.buf[start:end].view(dt)[::step // dt.itemsize] = values
                 return
-        if n and (offs.min() < 0 or offs.max() + dt.itemsize > self.capacity):
-            raise MemoryError_(f"{self.name}: vector store out of range")
+        if n:
+            end = int(offs.max()) + dt.itemsize
+            if offs.min() < 0 or end > self.capacity:
+                raise MemoryError_(f"{self.name}: vector store out of range")
+            self._touch(end)
         raw = np.ascontiguousarray(values, dtype=dt).view(np.uint8).reshape(-1, dt.itemsize)
         idx = offs[:, None] + np.arange(dt.itemsize, dtype=np.int64)[None, :]
         self.buf[idx.reshape(-1)] = raw.reshape(-1)
@@ -223,6 +242,7 @@ class LinearMemory:
         """
         for addr, data in blocks.items():
             off = addr - self.base
+            self._touch(off + data.size)
             self.buf[off : off + data.size] = data
 
     def copy_out(self, addr: int, size: int) -> bytes:
@@ -232,9 +252,11 @@ class LinearMemory:
     def copy_in(self, addr: int, data: bytes | np.ndarray) -> None:
         data = np.frombuffer(data, dtype=np.uint8) if isinstance(data, (bytes, bytearray)) else np.asarray(data, dtype=np.uint8)
         off = self._check(addr, data.size)
+        self._touch(off + data.size)
         self.buf[off : off + data.size] = data
 
     def copy_within(self, dst: int, src: int, size: int) -> None:
         so = self._check(src, size)
         do = self._check(dst, size)
+        self._touch(do + size)
         self.buf[do : do + size] = self.buf[so : so + size]

@@ -148,7 +148,7 @@ class CompiledProgram:
         self,
         clock: Optional[VirtualClock] = None,
         jit_cache: Optional[JitCache] = None,
-        launch_mode: str = "auto",
+        launch_mode: str = "full",
         seed_arrays: Optional[dict] = None,
         heap_capacity: int = 1 << 30,
         main: bool = True,

@@ -47,16 +47,6 @@ class CodegenConfig:
         return CodegenConfig(**{f.name: getattr(self, f.name)
                                 for f in fields(CodegenConfig)})
 
-    def block_dims(self, num_threads: int) -> tuple[int, int, int]:
-        if self.block_shape is not None:
-            return self.block_shape
-        n = max(1, num_threads)
-        if n <= 32:
-            return (n, 1, 1)
-        x = 32
-        y = max(1, n // 32)
-        return (x, y, 1)
-
 
 @dataclass(frozen=True)
 class OmpiConfig(CodegenConfig):

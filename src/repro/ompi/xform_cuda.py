@@ -941,10 +941,6 @@ class _MwTransformer:
         return A.Compound(reg)
 
 
-def _declared_in(stmt: A.Stmt, name: str) -> bool:
-    return any(isinstance(n, A.VarDecl) and n.name == name for n in stmt.walk())
-
-
 class _RegionTransformer:
     """Rewrites a parallel-region body for worker-thread execution."""
 

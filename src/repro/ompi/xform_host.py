@@ -71,11 +71,6 @@ def map_ptr_and_size(cv: CapturedVar) -> tuple[A.Expr, A.Expr, A.Expr]:
     return base, mapped, size
 
 
-def motion_ptr_and_size(name: str, section, scope: dict[str, CType]):
-    cv = CapturedVar(name, scope[name], "to", section)
-    return map_ptr_and_size(cv)
-
-
 @dataclass
 class HostRewriter:
     """Statement-level rewriting of one translation unit's host code."""

@@ -32,22 +32,16 @@ class QuotaError(Exception):
 
 
 class QuotaManager:
-    """Book-keeping of per-tenant usage against their quotas."""
+    """Book-keeping of per-tenant usage against the quota every tenant
+    is held to."""
 
     def __init__(self, default: Optional[TenantQuota] = None):
         self.default = default or TenantQuota()
-        self._quotas: dict[str, TenantQuota] = {}
         self.open_sessions: dict[str, int] = {}
         self.pending: dict[str, int] = {}
         self.resident_bytes: dict[str, int] = {}
         #: admissions refused, per tenant
         self.rejections: dict[str, int] = {}
-
-    def quota(self, tenant: str) -> TenantQuota:
-        return self._quotas.get(tenant, self.default)
-
-    def set_quota(self, tenant: str, quota: TenantQuota) -> None:
-        self._quotas[tenant] = quota
 
     def _reject(self, tenant: str, why: str) -> None:
         self.rejections[tenant] = self.rejections.get(tenant, 0) + 1
@@ -55,7 +49,7 @@ class QuotaManager:
 
     # -- sessions -------------------------------------------------------------
     def admit_session(self, tenant: str) -> None:
-        q = self.quota(tenant)
+        q = self.default
         have = self.open_sessions.get(tenant, 0)
         if q.max_sessions is not None and have >= q.max_sessions:
             self._reject(tenant, f"session limit {q.max_sessions} reached")
@@ -67,7 +61,7 @@ class QuotaManager:
 
     # -- pending requests -----------------------------------------------------
     def admit_pending(self, tenant: str) -> None:
-        q = self.quota(tenant)
+        q = self.default
         have = self.pending.get(tenant, 0)
         if q.max_pending is not None and have >= q.max_pending:
             self._reject(tenant, f"pending-request limit {q.max_pending} "
@@ -83,7 +77,7 @@ class QuotaManager:
 
     def resident_over(self, tenant: str, extra: int) -> bool:
         """Would parking ``extra`` more bytes exceed the tenant's limit?"""
-        q = self.quota(tenant)
+        q = self.default
         if q.max_resident_bytes is None:
             return False
         return self.resident(tenant) + extra > q.max_resident_bytes

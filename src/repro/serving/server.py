@@ -63,6 +63,12 @@ from repro.timing.clock import VirtualClock
 #: request heap default: enough for the small serving workloads; callers
 #: size it per request like the bench harness sizes standalone runs
 DEFAULT_HEAP = 64 << 20
+#: streams in each device's serving stream pool
+POOL_SIZE = 4
+#: share of a device's memory that parked (warm) session buffers may hold
+MAX_RESIDENT_FRACTION = 0.5
+#: failover re-executions a request may consume
+MAX_RETRIES = 2
 
 
 def percentile(values, p: float) -> float:
@@ -104,8 +110,7 @@ class Request:
     #: device the request actually executed on (completion events are
     #: synchronised against it even if the session migrated afterwards)
     device: Optional[int] = None
-    #: failover re-executions consumed (bounded by the server's
-    #: ``max_retries``)
+    #: failover re-executions consumed (bounded by ``MAX_RETRIES``)
     retries: int = 0
     #: the last execution observed a device-originated fault (loss,
     #: poisoning, host fallback) — set by outcome classification
@@ -180,19 +185,14 @@ class OffloadServer:
         num_devices: Optional[int] = None,
         config: Optional[OmpiConfig] = None,
         compile_cache: Optional[CompileCache] = None,
-        launch_mode: str = "auto",
         profile=None,
         faults=None,
         recovery=None,
         max_batch: int = 8,
-        pool_size: int = 4,
-        max_resident_fraction: float = 0.5,
         default_quota: Optional[TenantQuota] = None,
-        compact_logs: bool = True,
         devices=None,
         deadline=None,
         breaker=None,
-        max_retries: int = 2,
     ):
         self.config = config or OmpiConfig()
         # explicit arguments win over the config, the config over the
@@ -213,16 +213,11 @@ class OffloadServer:
             self.compile_cache._cache = GLOBAL_COMPILE_CACHE._cache
         else:
             self.compile_cache = GLOBAL_COMPILE_CACHE
-        self.launch_mode = launch_mode
         self.max_batch = int(max_batch)
-        self.pool_size = int(pool_size)
-        self.max_resident_fraction = float(max_resident_fraction)
-        self.compact_logs = compact_logs
         self.clock = VirtualClock()
         self.prof = rt.recorder
         self.ompt = OmptRegistry()
-        self.devices = build_devices(rt, None, self.clock, self.ompt,
-                                     launch_mode=launch_mode)
+        self.devices = build_devices(rt, None, self.clock, self.ompt)
         for k, mod in enumerate(self.devices):
             # second-level OOM pressure valve: shed idle sessions' warm
             # state on this device before an allocation gives up
@@ -248,7 +243,6 @@ class OffloadServer:
                           for k in range(num_devices)]
                          if rt.breaker is not None else None)
         self.health = DeviceHealthMonitor(self.devices, self.clock)
-        self.max_retries = int(max_retries)
         #: devices under a planned drain (excluded from placement/routing)
         self._draining: set[int] = set()
         #: sessions whose task chain was poisoned by a *device* fault —
@@ -541,9 +535,8 @@ class OffloadServer:
                 sched.release_events()
             except (CudaError, DeviceLost):
                 pass
-        if self.compact_logs:
-            for mod in self.devices:
-                mod.driver.log.compact()
+        for mod in self.devices:
+            mod.driver.log.compact()
         if self.prof is not None and inflight:
             for k in range(self.num_devices):
                 self._rnote("health", device=k, score=self.health.score(k))
@@ -566,7 +559,7 @@ class OffloadServer:
             except (CudaError, DeviceLost):
                 return None
             sched = StreamPoolScheduler(self.devices[k].driver,
-                                        pool_size=self.pool_size)
+                                        pool_size=POOL_SIZE)
             self._sched[k] = sched
         return sched
 
@@ -763,7 +756,7 @@ class OffloadServer:
         """Failover: a request that failed because its *device* failed
         (directly, or cancelled behind a fault-poisoned session chain)
         re-executes on another healthy device after a backoff, bounded by
-        ``max_retries`` and the request deadline.  Returns the retry
+        ``MAX_RETRIES`` and the request deadline.  Returns the retry
         arrival time when the request was re-enqueued, else None (the
         request's current outcome stands)."""
         if req.status != "failed":
@@ -773,7 +766,7 @@ class OffloadServer:
         if not (req.device_fault or (cancelled
                                      and sid in self._session_fault)):
             return None                     # program error: not retryable
-        if req.retries >= self.max_retries:
+        if req.retries >= MAX_RETRIES:
             return None
         failed_dev = req.device
         target = self._pick_target(exclude=failed_dev)
@@ -961,7 +954,7 @@ class OffloadServer:
             if self.quotas.resident_over(session.tenant, size):
                 return False
         cap = int(device_module.driver.gmem.capacity
-                  * self.max_resident_fraction)
+                  * MAX_RESIDENT_FRACTION)
         if self._device_resident[k] + size > cap:
             self.evict_idle(k, need=self._device_resident[k] + size - cap)
             if self._device_resident[k] + size > cap:
