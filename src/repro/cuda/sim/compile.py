@@ -10,7 +10,9 @@ vectors:
 
 * straight-line runs of ALU/move/load/store ops become a single code
   block guarded by one ``mask.any()`` check, with their ``KernelStats``
-  contributions aggregated into constant increments;
+  contributions aggregated into constant increments (the engine runs
+  every block under ``np.errstate(all='ignore')``, as the reference
+  helpers do per operation);
 * single-use pure values are fused textually into their consumer, so a
   chain like ``mul/add/ld/add/st`` becomes one composed numpy expression;
 * predicated control flow (``IfOp``/``LoopOp``) keeps the exact
@@ -23,8 +25,16 @@ vectors:
   drift.
 
 The generated closures are still generators (they ``yield`` the same
-``('bar', id, count)`` / ``('spin',)`` scheduler events), so block
+``('bar', id, count)`` / ``('spin', warps)`` scheduler events), so block
 scheduling, named barriers and the master/worker scheme are untouched.
+
+The closures read their lane width from the executor.  A kernel with no
+synchronisation between warps (:func:`lockstep_eligible`) runs all W
+warps of a block as one activation over 32·W lanes; every other kernel
+runs one activation per warp (W = 1) under the block scheduler.  The
+per-warp counters (instructions, memory instructions, loop iterations,
+divergent branches, spins) count the 32-lane rows with an active lane,
+so ``KernelStats`` is the same at every width.
 
 Compilation is conservative: any construct outside the supported set
 raises :class:`UnsupportedKernel` and the caller silently falls back to
@@ -46,7 +56,7 @@ from repro.cuda.ptx.ir import (
 )
 from repro.cuda.sim.warp import (
     WARP_SIZE, WarpExec, _SPECIAL, _binop, _cast_scalar, _cast_vec, _convert,
-    _unop,
+    _unop, active_rows, loop_may_block, sync_ops,
 )
 
 
@@ -58,10 +68,6 @@ _PSEUDO = ("__ldparam", "__ldarg", "__local_base")
 _SEG_TYPES = (BinOp, UnOp, Mov, SelOp, Cvt, Sreg, Ld, St)
 
 _BOOL_DT = np.dtype(np.bool_)
-_LANEID = np.arange(WARP_SIZE, dtype=np.uint32)
-_LANEID.setflags(write=False)
-_Z = np.zeros(WARP_SIZE, dtype=bool)
-_Z.setflags(write=False)
 
 
 def _is_seg_op(op) -> bool:
@@ -95,10 +101,10 @@ def _scan_bc(ops) -> tuple[bool, bool]:
     return has_b, has_c
 
 
-def _reg(regs: dict, name: str, dtype: np.dtype) -> np.ndarray:
+def _reg(regs: dict, name: str, dtype: np.dtype, width: int) -> np.ndarray:
     arr = regs.get(name)
     if arr is None:
-        arr = np.zeros(WARP_SIZE, dtype=dtype)
+        arr = np.zeros(width, dtype=dtype)
         regs[name] = arr
     return arr
 
@@ -108,9 +114,9 @@ def _ldargv(warp, idx: int, dtype: np.dtype) -> np.ndarray:
     (elementwise identical to what ``setreg`` would write)."""
     value = np.asarray(warp._arg_stack[-1][idx])
     if value.ndim == 0:
-        return np.full(WARP_SIZE, _cast_scalar(value, dtype))
-    out = np.empty(WARP_SIZE, dtype=dtype)
-    out[:] = _cast_vec(np.broadcast_to(value, (WARP_SIZE,)), dtype)
+        return np.full(warp.width, _cast_scalar(value, dtype))
+    out = np.empty(warp.width, dtype=dtype)
+    out[:] = _cast_vec(np.broadcast_to(value, (warp.width,)), dtype)
     return out
 
 
@@ -126,8 +132,7 @@ def _barcnt(v) -> int:
 
 
 _GLOBALS = {
-    "np": np, "_SHP": (WARP_SIZE,), "_Z": _Z, "_LANEID": _LANEID,
-    "_reg": _reg, "_cs": _cast_scalar, "_cv": _cast_vec, "_cvt": _convert,
+    "np": np, "_reg": _reg, "_cs": _cast_scalar, "_cv": _cast_vec, "_cvt": _convert,
     "_bop": _binop, "_ldargv": _ldargv, "_barid": _barid,
     "_barcnt": _barcnt,
 }
@@ -430,6 +435,9 @@ class _FnGen:
         self.temp_names: dict[str, str] = {}
         self.pend_order: list[str] = []
         self.loop_ctx: list[tuple[str, str]] = []
+        #: locals holding counts of the current mask ("rows": warps with
+        #: an active lane, "lanes": active lanes), reset when m changes
+        self.m_counts: dict[str, str] = {}
 
     # -- emission plumbing -------------------------------------------------
     def w(self, text: str) -> None:
@@ -438,6 +446,24 @@ class _FnGen:
     def uid(self) -> str:
         self.uid_n += 1
         return str(self.uid_n)
+
+    def set_m(self, text: str, counts: Optional[dict] = None) -> None:
+        """Assign the lane mask; ``counts`` names locals already holding
+        counts of the new mask."""
+        self.w(f"m = {text}")
+        self.m_counts = {} if counts is None else counts
+
+    def count_m(self, kind: str) -> str:
+        """A local holding the ``kind`` count of the current mask,
+        computed once per mask value (every later use under the same mask
+        runs only when this one did)."""
+        name = self.m_counts.get(kind)
+        if name is None:
+            name = f"n{kind[0]}{self.uid()}"
+            expr = "rows(m)" if kind == "rows" else "int(np.count_nonzero(m))"
+            self.w(f"{name} = {expr}")
+            self.m_counts[kind] = name
+        return name
 
     def guard_open(self, cond: bool) -> None:
         if cond:
@@ -459,15 +485,19 @@ class _FnGen:
         put(1, "engine = warp.engine")
         put(1, "stats = engine.stats")
         put(1, "regs = warp.regs")
+        put(1, "rows = warp.rows")
+        put(1, "_n = warp.width")
+        put(1, "_SHP = (_n,)")
+        put(1, "_Z = warp.zmask")
         put(1, "m = m.copy()")
         for name, (local, dtstr) in self.reg_locals.items():
             put(1, f"{local} = _reg(regs, {name!r}, "
-                   f"{self.kc.dt(np_dtype(dtstr))})")
+                   f"{self.kc.dt(np_dtype(dtstr))}, _n)")
         for local, expr in self.sreg_locals.values():
             put(1, f"{local} = {expr}")
         for gname, local in self.glob_locals.items():
             put(1, f"{local} = np.uint64(engine.global_addr({gname!r}))")
-        put(1, "ret = np.zeros(32, np.bool_)")
+        put(1, "ret = np.zeros(_n, np.bool_)")
         put(1, "warp._ret_stack.append(ret)")
         put(1, "try:")
         if self.lines:
@@ -524,7 +554,9 @@ class _FnGen:
         if name == "tid.z":
             return _Val("warp.tid_z", u32, False)
         if name == "laneid":
-            return _Val("_LANEID", u32, False)
+            return _Val("warp.laneid", u32, False)
+        if name == "warpid":
+            return _Val("warp.warpid", u32, False)
         exprs = {
             "ntid.x": "np.uint32(warp.block.block_dim[0])",
             "ntid.y": "np.uint32(warp.block.block_dim[1])",
@@ -535,7 +567,6 @@ class _FnGen:
             "nctaid.x": "np.uint32(warp.block.grid_dim[0])",
             "nctaid.y": "np.uint32(warp.block.grid_dim[1])",
             "nctaid.z": "np.uint32(warp.block.grid_dim[2])",
-            "warpid": "np.uint32(warp.warp_index)",
         }
         expr = exprs.get(name)
         if expr is None:
@@ -659,7 +690,7 @@ class _FnGen:
             elif cls is CallOp:
                 ref = self.kc.op_ref(op)
                 self.guard_open(maybe_empty)
-                self.w(f"m = yield from warp._call({ref}, m)")
+                self.set_m(f"yield from warp._call({ref}, m)")
                 self.guard_close(maybe_empty)
                 maybe_empty = True
             elif cls is PrintfOp:
@@ -674,9 +705,9 @@ class _FnGen:
                 self.guard_close(maybe_empty)
             elif cls is RetOp:
                 self.guard_open(maybe_empty)
-                self.w("stats.instructions += 1")
+                self.w(f"stats.instructions += {self.count_m('rows')}")
                 self.w("ret |= m")
-                self.w("m = _Z")
+                self.set_m("_Z")
                 self.guard_close(maybe_empty)
                 return
             elif cls is BreakOp:
@@ -685,7 +716,7 @@ class _FnGen:
                 bk, _cn = self.loop_ctx[-1]
                 self.guard_open(maybe_empty)
                 self.w(f"{bk} |= m")
-                self.w("m = _Z")
+                self.set_m("_Z")
                 self.guard_close(maybe_empty)
                 return
             elif cls is ContinueOp:
@@ -694,7 +725,7 @@ class _FnGen:
                 _bk, cn = self.loop_ctx[-1]
                 self.guard_open(maybe_empty)
                 self.w(f"{cn} |= m")
-                self.w("m = _Z")
+                self.set_m("_Z")
                 self.guard_close(maybe_empty)
                 return
             else:
@@ -726,24 +757,23 @@ class _FnGen:
                 instr += 1
             # Ld/St stats are bumped inside engine.mem_load/mem_store
         self.guard_open(maybe_empty)
-        if instr:
-            self.w(f"stats.instructions += {instr}")
+        mark = len(self.lines)
+        if instr == 1:
+            self.w(f"stats.instructions += {self.count_m('rows')}")
+        elif instr:
+            self.w(f"stats.instructions += {instr} * {self.count_m('rows')}")
         if any(alu.values()):
-            self.w("_a = int(m.sum())")
+            lanes = self.count_m("lanes")
             for key, count in alu.items():
                 if count == 1:
-                    self.w(f"stats.{key} += _a")
+                    self.w(f"stats.{key} += {lanes}")
                 elif count:
-                    self.w(f"stats.{key} += {count} * _a")
-        self.w("with np.errstate(all='ignore'):")
-        self.ind += 1
-        mark = len(self.lines)
+                    self.w(f"stats.{key} += {count} * {lanes}")
         for op in seg:
             self.emit_seg_op(op)
         self.flush_all()
         if len(self.lines) == mark:
             self.w("pass")
-        self.ind -= 1
         self.guard_close(maybe_empty)
 
     def emit_seg_op(self, op) -> None:
@@ -783,7 +813,7 @@ class _FnGen:
             raise UnsupportedKernel(f"{op.name} with non-immediate arg")
         idx = int(op.args[0].value)
         if op.name == "__ldparam":
-            v = _Val(f"np.full(32, warp.params[{idx}], "
+            v = _Val(f"np.full(_n, warp.params[{idx}], "
                      f"dtype={self.kc.dt(dt)})", dt, False)
         elif op.name == "__ldarg":
             v = _Val(f"_ldargv(warp, {idx}, {self.kc.dt(dt)})", dt, False)
@@ -906,35 +936,29 @@ class _FnGen:
         self.w(f"ea{k} = em{k}.any()")
         self.w(f"if ta{k} and ea{k}:")
         self.ind += 1
-        self.w("stats.divergent_branches += 1")
+        self.w(f"stats.divergent_branches += warp.rows_both(tm{k}, em{k})")
         self.ind -= 1
-        self.w("stats.instructions += 1")
+        self.w(f"stats.instructions += {self.count_m('rows')}")
         if op.then_ops:
             self.w(f"if ta{k}:")
             self.ind += 1
-            self.w(f"m = tm{k}")
+            self.set_m(f"tm{k}")
             self.block_ops(op.then_ops, False)
             self.w(f"tm{k} = m")
             self.ind -= 1
         if op.else_ops:
             self.w(f"if ea{k}:")
             self.ind += 1
-            self.w(f"m = em{k}")
+            self.set_m(f"em{k}")
             self.block_ops(op.else_ops, False)
             self.w(f"em{k} = m")
             self.ind -= 1
-        self.w(f"m = tm{k} | em{k}")
+        self.set_m(f"tm{k} | em{k}")
         self.guard_close(maybe_empty)
 
     def emit_loop(self, op: LoopOp, maybe_empty: bool) -> None:
         k = self.uid()
-        may_block = any(
-            isinstance(o, (BarOp, Atom, CallOp))
-            for o in walk_ops(op.body_ops)
-        ) or any(
-            isinstance(o, (BarOp, Atom, CallOp))
-            for o in walk_ops(op.cond_ops)
-        )
+        may_block = loop_may_block(op)
         step_ops = getattr(op, "step_ops", None) or []
         # break/continue/return trackers are emitted only when the loop can
         # actually produce them — the common counted loop carries none
@@ -942,37 +966,47 @@ class _FnGen:
         has_ret = self.has_ret
         self.guard_open(maybe_empty)
         self.w(f"lv{k} = m")
-        self.w(f"ex{k} = np.zeros(32, np.bool_)")
+        self.w(f"ex{k} = np.zeros(_n, np.bool_)")
         self.w("while True:")
         self.ind += 1
         if has_ret:
             self.w(f"lv{k} = lv{k} & ~ret")
         self.w(f"if not lv{k}.any(): break")
-        self.w(f"m = lv{k}")
+        self.set_m(f"lv{k}")
         self.block_ops(op.cond_ops, False)
-        self.w(f"lv{k} = m")
-        self.w(f"if not lv{k}.any(): break")
+        if not all(_is_seg_op(o) for o in op.cond_ops):
+            # control flow in the condition may have retired lanes
+            self.w(f"lv{k} = m")
+            self.w(f"if not lv{k}.any(): break")
         cond = self.operand(op.cond)
         self.w(f"cc{k} = {self.cond_text(cond)}")
         self.w(f"ac{k} = lv{k} & cc{k}")
         self.w(f"ex{k} |= lv{k} & ~cc{k}")
         self.w(f"if not ac{k}.any(): break")
-        self.w("stats.loop_iterations += 1")
+        self.w(f"nw{k} = rows(ac{k})")
+        self.w(f"stats.loop_iterations += nw{k}")
         if has_b:
-            self.w(f"bk{k} = np.zeros(32, np.bool_)")
+            self.w(f"bk{k} = np.zeros(_n, np.bool_)")
         if has_c:
-            self.w(f"cn{k} = np.zeros(32, np.bool_)")
-        self.w(f"m = ac{k}")
+            self.w(f"cn{k} = np.zeros(_n, np.bool_)")
+        body_counts = {"rows": f"nw{k}"}
+        self.set_m(f"ac{k}", body_counts)
         self.loop_ctx.append((f"bk{k}", f"cn{k}"))
         self.block_ops(op.body_ops, False)
         self.loop_ctx.pop()
+        # a body that never reassigned m hands its mask (and its counts)
+        # on to the step ops
+        same_m = self.m_counts is body_counts and not has_c
         self.w(f"rn{k} = m | cn{k}" if has_c else f"rn{k} = m")
         if step_ops:
             self.w(f"if rn{k}.any():")
             self.ind += 1
-            self.w(f"sb{k} = np.zeros(32, np.bool_)")
-            self.w(f"sc{k} = np.zeros(32, np.bool_)")
-            self.w(f"m = rn{k}")
+            step_b, step_c = _scan_bc(step_ops)
+            if step_b:
+                self.w(f"sb{k} = np.zeros(_n, np.bool_)")
+            if step_c:
+                self.w(f"sc{k} = np.zeros(_n, np.bool_)")
+            self.set_m(f"rn{k}", body_counts if same_m else None)
             self.loop_ctx.append((f"sb{k}", f"sc{k}"))
             self.block_ops(step_ops, False)
             self.loop_ctx.pop()
@@ -982,12 +1016,12 @@ class _FnGen:
             self.w(f"ex{k} |= bk{k}")
         self.w(f"lv{k} = rn{k}")
         if may_block:
-            self.w("yield ('spin',)")
+            self.w(f"yield ('spin', nw{k})")
         self.ind -= 1
         if has_ret:
-            self.w(f"m = (ex{k} | lv{k}) & ~ret")
+            self.set_m(f"(ex{k} | lv{k}) & ~ret")
         else:
-            self.w(f"m = ex{k} | lv{k}")
+            self.set_m(f"ex{k} | lv{k}")
         self.guard_close(maybe_empty)
 
     def emit_bar(self, op: BarOp, maybe_empty: bool) -> None:
@@ -1013,17 +1047,40 @@ class CompiledKernel:
 
     ``sub_fns`` is indexed like ``WarpExec._subfn_by_id``; a ``None``
     entry means that subfunction fell back to the tree-walker.
+    ``lockstep`` says whether a block's warps may run as one activation
+    (decided once per kernel by :class:`CompiledKernelCache`).
     """
 
     kernel: KernelIR
     body_fn: Optional[Callable]
     sub_fns: list
     source: str
+    lockstep: bool = False
 
 
 def compile_kernel(kernel: KernelIR) -> CompiledKernel:
     """Lower ``kernel`` to closures; raises :class:`UnsupportedKernel`."""
     return _KernelCompiler(kernel).compile()
+
+
+def lockstep_eligible(kernel: KernelIR, intrinsics: dict) -> bool:
+    """Whether the warps of a block have no way to synchronise or to
+    observe each other's order: no barrier, atomic, printf or
+    subfunction, and every runtime call a pseudo-op or an intrinsic
+    tagged order-independent (``lockstep_uniform_args``, see
+    :func:`repro.devrt.state.order_independent`).  Such a kernel may run
+    a block's warps in lockstep; the engine's race guard still checks
+    every run for communication through memory."""
+    if kernel.subfunctions or any(type(op) is PrintfOp
+                                  for op in walk_ops(kernel.body)):
+        return False
+    for op in sync_ops(kernel.body):
+        if type(op) is not CallOp:
+            return False            # a barrier or an atomic
+        if op.name not in _PSEUDO and getattr(
+                intrinsics.get(op.name), "lockstep_uniform_args", None) is None:
+            return False
+    return True
 
 
 class CompiledKernelCache:
@@ -1039,6 +1096,12 @@ class CompiledKernelCache:
     long-lived driver (the serving runtime) sets a bound matched to its
     program population, and an evicted kernel simply recompiles on its
     next launch.
+
+    The engines also count here how blocks ran: ``lockstep_blocks`` as
+    one activation over all their warps, ``warp_blocks`` one activation
+    per warp (any executor), and ``guard_fallbacks`` lockstep runs the
+    race guard rolled back and re-ran per warp (counted in
+    ``warp_blocks`` too).
     """
 
     def __init__(self, max_entries: Optional[int] = None):
@@ -1048,11 +1111,15 @@ class CompiledKernelCache:
         self.fallbacks = 0
         self.hits = 0
         self.evictions = 0
+        self.lockstep_blocks = 0
+        self.warp_blocks = 0
+        self.guard_fallbacks = 0
 
     def __len__(self) -> int:
         return len(self._cache)
 
-    def get(self, kernel: KernelIR) -> Optional[CompiledKernel]:
+    def get(self, kernel: KernelIR,
+            intrinsics: Optional[dict] = None) -> Optional[CompiledKernel]:
         key = (id(kernel), tuple(p.dtype for p in kernel.params))
         try:
             entry = self._cache.pop(key)
@@ -1068,6 +1135,9 @@ class CompiledKernelCache:
         except Exception:
             ck = None
             self.fallbacks += 1
+        else:
+            ck.lockstep = ck.body_fn is not None and lockstep_eligible(
+                kernel, intrinsics or {})
         if (self.max_entries is not None
                 and len(self._cache) >= self.max_entries):
             self._cache.pop(next(iter(self._cache)))
@@ -1077,13 +1147,32 @@ class CompiledKernelCache:
         return ck
 
 
-class CompiledWarpExec(WarpExec):
-    """WarpExec that runs compiled closures, with per-function fallback
-    to the inherited tree-walker."""
+class CompiledExec(WarpExec):
+    """Runs a kernel's compiled closures over 32·W lanes: one warp
+    (W = 1) under the block scheduler, or the W warps of a lockstep block
+    run as one activation.  A function the compiler rejected falls back
+    to the inherited tree-walker (only ever at W = 1: such a kernel is
+    not lockstep-eligible)."""
 
     def __init__(self, compiled: CompiledKernel, *args):
         super().__init__(*args)
         self._compiled = compiled
+        lanes = self.lane_linear
+        #: per-lane warp index and lane id (the ``warpid``/``laneid``
+        #: special registers)
+        self.warpid = (lanes // WARP_SIZE).astype(np.uint32)
+        self.laneid = (lanes % WARP_SIZE).astype(np.uint32)
+        self.zmask = np.zeros(self.width, dtype=bool)
+        self.zmask.setflags(write=False)
+
+    def row(self, r: int) -> "CompiledExec":
+        """An executor for warp row ``r`` alone (register-less): per-row
+        intrinsic calls and memory accesses run through it."""
+        lanes = slice(r * WARP_SIZE, (r + 1) * WARP_SIZE)
+        return CompiledExec(self._compiled, self.engine, self.block,
+                            int(self.warpid[lanes.start]),
+                            self.lane_linear[lanes], self.valid[lanes],
+                            self.kernel, self.params)
 
     def run_kernel(self):
         fn = self._compiled.body_fn
@@ -1104,3 +1193,32 @@ class CompiledWarpExec(WarpExec):
             yield from fn(self, mask)
         finally:
             self._arg_stack.pop()
+
+    def _intrinsic(self, intrinsic, mask: np.ndarray, args: list):
+        """One call for the whole block run when the arguments the
+        intrinsic reads with ``uniform()`` agree across the active lanes
+        (then it cannot tell one call from one per warp), else one call
+        per warp row in warp order."""
+        if self.width == WARP_SIZE or all(
+                _agrees(a, mask)
+                for a in args[:intrinsic.lockstep_uniform_args]):
+            return (yield from intrinsic(self, mask, args))
+        result = None
+        for r, lanes in active_rows(mask):
+            out = yield from intrinsic(
+                self.row(r), mask[lanes],
+                [a[lanes] if np.ndim(a) else a for a in args])
+            if out is not None:
+                if result is None:
+                    result = np.zeros(self.width, dtype=np.asarray(out).dtype)
+                result[lanes] = out
+        return result
+
+
+def _agrees(value, mask: np.ndarray) -> bool:
+    """Whether ``value`` is the same on every active lane."""
+    arr = np.asarray(value)
+    if arr.ndim == 0:
+        return True
+    active = arr[mask]
+    return bool((active == active[0]).all())

@@ -7,6 +7,14 @@ spin loops).  Named barriers implement PTX ``bar.sync b, n`` semantics:
 an arriving warp contributes 32 threads towards the count; release happens
 when ``ceil(n / 32)`` warps have arrived (counts must be multiples of the
 warp size — enforced, since the paper's runtime rounds N up to W*ceil(N/W)).
+
+A compiled kernel whose warps cannot synchronise
+(:func:`~repro.cuda.sim.compile.lockstep_eligible`) instead runs each
+block's W warps in lockstep, as one activation over 32·W lanes.  That
+equals the round-robin schedule only if the warps do not talk through
+memory, so a :class:`RaceGuard` watches the run: if one warp wrote a
+global or shared byte that another warp of the block read or wrote, the
+block is rolled back and re-run one warp at a time.
 """
 
 from __future__ import annotations
@@ -18,53 +26,19 @@ from typing import Callable, ClassVar, Iterable, Optional
 import numpy as np
 
 from repro.cuda.device import DeviceProperties, Dim3
-from repro.cuda.ptx.ir import Atom, BarOp, CallOp, KernelIR, LoopOp, walk_ops
+from repro.cuda.ptx.ir import KernelIR, LoopOp
 from repro.cuda.ptx.lower import LOCAL_WINDOW_BASE, SHARED_WINDOW_BASE
-from repro.cuda.sim.coalesce import transactions
-from repro.cuda.sim.compile import CompiledKernelCache, CompiledWarpExec
-from repro.cuda.sim.warp import WARP_SIZE, WarpExec
-from repro.mem import LinearMemory
+from repro.cuda.sim.coalesce import row_transactions, transactions
+from repro.cuda.sim.compile import CompiledExec, CompiledKernelCache
+from repro.cuda.sim.warp import (
+    WARP_SIZE, WarpExec, active_rows, loop_may_block,
+)
+from repro.mem import LinearMemory, MemoryError_
 from repro.prof.activity import KernelExecActivity
 
 
 class LaunchError(Exception):
     """Kernel execution failed (deadlock, bad barrier, resource limits)."""
-
-
-# -- memoized coalescing ------------------------------------------------------
-# A kernel's warps repeat a handful of address *shapes*: the same relative
-# stride pattern at different bases (each loop iteration, each block).  The
-# transaction count is invariant under translating every address by a
-# multiple of 32 (all segment indices shift uniformly), so the count is
-# fully determined by (base offset within a segment, per-lane deltas from
-# lane 0, itemsize, active mask) — uint64 wraparound in the deltas is
-# harmless because subtraction mod 2^64 is itself translation-invariant.
-# Keying on that shape turns the per-warp Python segment walk into one dict
-# probe.  Clearing _TXN_MEMO_ENABLED restores the direct computation (the
-# portability bench records the before/after wall time that way).
-_TXN_MEMO: dict = {}
-_TXN_MEMO_CAP = 1 << 16
-_TXN_MEMO_STATS = {"hits": 0, "misses": 0}
-_TXN_MEMO_ENABLED = True
-
-
-def transactions_memo(addrs: np.ndarray, itemsize: int,
-                      mask: np.ndarray) -> int:
-    """Memoized :func:`~repro.cuda.sim.coalesce.transactions`."""
-    if not _TXN_MEMO_ENABLED:
-        return transactions(addrs, itemsize, mask)
-    key = (int(addrs[0]) & 31, int(itemsize),
-           (addrs - addrs[0]).tobytes(), mask.tobytes())
-    n = _TXN_MEMO.get(key)
-    if n is None:
-        if len(_TXN_MEMO) >= _TXN_MEMO_CAP:
-            _TXN_MEMO.clear()
-        n = transactions(addrs, itemsize, mask)
-        _TXN_MEMO[key] = n
-        _TXN_MEMO_STATS["misses"] += 1
-    else:
-        _TXN_MEMO_STATS["hits"] += 1
-    return n
 
 
 @dataclass
@@ -141,7 +115,7 @@ class BlockCtx:
         self.grid_dim = grid_dim
         self.smem = LinearMemory(max(smem_size, 16), base=SHARED_WINDOW_BASE,
                                  name="shared")
-        nthreads = block_dim[0] * block_dim[1] * block_dim[2]
+        self.nthreads = nthreads = block_dim[0] * block_dim[1] * block_dim[2]
         self.local_per_thread = local_per_thread
         if local_per_thread:
             self.lmem = LinearMemory(local_per_thread * nthreads,
@@ -155,6 +129,150 @@ class BlockCtx:
     def local_base(self, lane_linear: np.ndarray) -> np.ndarray:
         return (LOCAL_WINDOW_BASE
                 + lane_linear.astype(np.uint64) * np.uint64(self.local_per_thread))
+
+
+class RaceGuard:
+    """Watches one lockstep block run for communication between warps.
+
+    Every global and shared access is recorded with the warp of each
+    active lane, and every global store first journals the bytes it
+    overwrites.  :meth:`conflict` is exact: it reports whether some byte
+    written by one warp was read or written by another warp of the run.
+    Shared and global addresses live in disjoint windows, so one address
+    space covers both.
+
+    The check works on *spans*: byte ranges ``[start, end)`` tagged with a
+    warp and whether it wrote them, merged per (warp, kind) so a span set
+    is exactly the bytes each warp read and wrote.  At the end of the run
+    the recorded accesses whose byte range meets no written range are
+    dropped and identical accesses collapse before they become spans.
+    A very long run folds its records into spans as it goes, so the
+    guard's memory stays bounded by the bytes the block touches.
+    """
+
+    #: recorded lanes held before they are folded into spans
+    FOLD_LANES = 1 << 22
+
+    def __init__(self):
+        self.records: list = []    # (addrs, warps, itemsize, write)
+        self.lanes = 0
+        self.spans = _spans([])    # folded records
+        self.undo: list = []       # (space, addrs, dtype, overwritten)
+
+    def note(self, addrs: np.ndarray, warps: np.ndarray, itemsize: int,
+             write: bool) -> None:
+        self.records.append((addrs, warps, itemsize, write))
+        self.lanes += addrs.size
+        if self.lanes > self.FOLD_LANES:
+            self.spans = _merge(_concat(self.spans, _spans(self.records)))
+            self.records, self.lanes = [], 0
+
+    def conflict(self) -> bool:
+        recs = self.records
+        folded = self.spans
+        written = folded[3].astype(bool)
+        if not written.any() and not any(rec[3] for rec in recs):
+            return False
+        live = []
+        if recs:
+            # each record's byte range [lo, hi); keep the writes and the
+            # reads that meet a written range
+            sizes = np.array([rec[0].size for rec in recs])
+            flat = np.concatenate([rec[0] for rec in recs]).astype(np.int64)
+            starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+            lo = np.minimum.reduceat(flat, starts)
+            hi = np.maximum.reduceat(flat, starts) + np.array(
+                [rec[2] for rec in recs])
+            writes = np.array([rec[3] for rec in recs], dtype=bool)
+            w_lo = np.concatenate((lo[writes], folded[1][written]))
+            w_hi = np.concatenate((hi[writes], folded[2][written]))
+            keep = writes | _meets(lo, hi, w_lo, w_hi)
+            unique = {}
+            for k in np.flatnonzero(keep):
+                addrs, warps, itemsize, write = recs[k]
+                key = (itemsize, addrs.tobytes(), warps.tobytes())
+                prev = unique.get(key)
+                unique[key] = (addrs, warps, itemsize,
+                               write or (prev is not None and prev[3]))
+            live = list(unique.values())
+        return _clash(_merge(_concat(folded, _spans(live))))
+
+    def rollback(self) -> None:
+        """Restore every journalled global byte, newest store first."""
+        for space, addrs, dtype, old in reversed(self.undo):
+            space.scatter(addrs, dtype, old)
+        self.undo.clear()
+
+
+def _spans(records) -> tuple:
+    """The recorded lanes as spans: (warp, start, end, wrote) arrays.  A
+    lane that continues the previous lane's bytes for the same warp and
+    kind extends its span, so a warp's contiguous access is one span."""
+    if not records:
+        z = np.zeros(0, dtype=np.int64)
+        return z, z, z, z
+    addr = np.concatenate([rec[0] for rec in records]).astype(np.int64)
+    warp = np.concatenate([rec[1] for rec in records]).astype(np.int64)
+    lanes = [rec[0].size for rec in records]
+    size = np.repeat(np.array([rec[2] for rec in records], np.int64), lanes)
+    wrote = np.repeat(np.array([rec[3] for rec in records], np.int64), lanes)
+    first = np.flatnonzero(np.concatenate(([True], (
+        (addr[1:] != addr[:-1] + size[:-1]) | (warp[1:] != warp[:-1])
+        | (wrote[1:] != wrote[:-1])))))
+    last = np.append(first[1:], addr.size) - 1
+    return warp[first], addr[first], addr[last] + size[last], wrote[first]
+
+
+def _concat(a: tuple, b: tuple) -> tuple:
+    return tuple(np.concatenate((x, y)) for x, y in zip(a, b))
+
+
+#: spans of one (warp, kind) group are kept apart from the next group's by
+#: this offset (shared and global addresses stay below it)
+_GROUP = np.int64(1) << np.int64(48)
+
+
+def _merge(spans: tuple) -> tuple:
+    """Merge overlapping and touching spans of the same (warp, kind)."""
+    warp, start, end, wrote = spans
+    if not start.size:
+        return spans
+    # sort by (warp, kind, start); the group offset keeps groups apart
+    offset = (warp * 2 + wrote) * _GROUP
+    order = np.argsort(offset + start, kind="stable")
+    offset = offset[order]
+    start, end = start[order] + offset, end[order] + offset
+    reach = np.maximum.accumulate(end)
+    first = np.flatnonzero(np.concatenate(([True], start[1:] > reach[:-1])))
+    last = np.append(first[1:], start.size) - 1
+    g = offset[first]
+    return (g // (2 * _GROUP), start[first] - g, reach[last] - g,
+            (g // _GROUP) % 2)
+
+
+def _meets(lo: np.ndarray, hi: np.ndarray, w_lo: np.ndarray,
+           w_hi: np.ndarray) -> np.ndarray:
+    """For each range [lo, hi), whether it meets any range [w_lo, w_hi)."""
+    if not w_lo.size:
+        return np.zeros(lo.size, dtype=bool)
+    order = np.argsort(w_lo, kind="stable")
+    w_lo = w_lo[order]
+    reach = np.maximum.accumulate(w_hi[order])
+    # the last range starting below hi reaches furthest among those
+    k = np.searchsorted(w_lo, hi, side="left") - 1
+    return (k >= 0) & (reach[np.maximum(k, 0)] > lo)
+
+
+def _clash(spans: tuple) -> bool:
+    """Whether a byte one warp wrote was read or written by another."""
+    warp, start, end, wrote = spans
+    wrote = wrote.astype(bool)
+    for w in np.unique(warp[wrote]):
+        mine = warp == w
+        if _meets(start[wrote & mine], end[wrote & mine],
+                  start[~mine], end[~mine]).any():
+            return True
+    return False
 
 
 class FunctionalEngine:
@@ -188,6 +306,8 @@ class FunctionalEngine:
         self.stdout: list[str] = []
         self.stats = KernelStats()
         self._loop_block_cache: dict[int, bool] = {}
+        #: the race guard of the lockstep block run in progress, if any
+        self.guard: Optional[RaceGuard] = None
 
     # -- memory routing ------------------------------------------------------
     def global_addr(self, name: str) -> int:
@@ -208,73 +328,117 @@ class FunctionalEngine:
         raise LaunchError(f"kernel accessed unmapped address {addr:#x}")
 
     def mem_load(self, warp: WarpExec, addrs, dtype: np.dtype, mask: np.ndarray):
-        if not mask.any():
+        on = np.count_nonzero(mask)
+        if not on:
             # fully predicated-off access (divergent warp): no instruction
             # issues, no transaction is counted — and addrs may be garbage,
             # so resolve_space must not look at them
-            return np.zeros(WARP_SIZE, dtype=dtype)
-        stats = self.stats
-        stats.load_instructions += 1
-        stats.instructions += 1
+            return np.zeros(mask.size, dtype=dtype)
         a = np.asarray(addrs, dtype=np.uint64)
-        if a.shape != (WARP_SIZE,):
-            a = np.broadcast_to(a, (WARP_SIZE,))
-        full = mask.all()
-        space = self.resolve_space(
-            warp, int(a[0]) if full else int(a[np.argmax(mask)]))
-        self._note_mem(space, a, dtype.itemsize, mask)
+        if a.shape != mask.shape:
+            a = np.broadcast_to(a, mask.shape)
+        full = on == mask.size
+        active = a if full else a[mask]
+        space = self.resolve_space(warp, int(active[0]))
+        try:
+            got = space.gather(active, dtype)
+        except MemoryError_:
+            if warp.width == WARP_SIZE:
+                raise
+            # the warps of a block-wide access left the first lane's
+            # space: each warp resolves (or fails) on its own
+            out = np.zeros(mask.size, dtype=dtype)
+            for r, lanes in active_rows(mask):
+                out[lanes] = self.mem_load(warp.row(r), a[lanes], dtype,
+                                           mask[lanes])
+            return out
+        self._count(warp, space, a, active, dtype.itemsize, mask, False)
         if full:
-            return space.gather(a, dtype)
-        out = np.zeros(WARP_SIZE, dtype=dtype)
-        out[mask] = space.gather(a[mask], dtype)
+            return got
+        out = np.zeros(mask.size, dtype=dtype)
+        out[mask] = got
         return out
 
     def mem_store(self, warp: WarpExec, addrs, dtype: np.dtype, values,
                   mask: np.ndarray) -> None:
-        if not mask.any():
+        on = np.count_nonzero(mask)
+        if not on:
             return  # predicated off: no instruction, no transaction
-        stats = self.stats
-        stats.store_instructions += 1
-        stats.instructions += 1
         a = np.asarray(addrs, dtype=np.uint64)
-        if a.shape != (WARP_SIZE,):
-            a = np.broadcast_to(a, (WARP_SIZE,))
+        if a.shape != mask.shape:
+            a = np.broadcast_to(a, mask.shape)
         v = np.asarray(values)
-        if v.shape != (WARP_SIZE,):
-            v = np.broadcast_to(v, (WARP_SIZE,))
-        full = mask.all()
-        space = self.resolve_space(
-            warp, int(a[0]) if full else int(a[np.argmax(mask)]))
-        self._note_mem(space, a, dtype.itemsize, mask)
+        if v.shape != mask.shape:
+            v = np.broadcast_to(v, mask.shape)
+        full = on == mask.size
+        active = a if full else a[mask]
+        space = self.resolve_space(warp, int(active[0]))
         if v.dtype.kind == "f" and dtype.kind in "iu":
             v = np.trunc(v)
-        if not full:
-            a, v = a[mask], v[mask]
-        with np.errstate(over="ignore", invalid="ignore"):
-            space.scatter(a, dtype, v.astype(dtype, casting="unsafe"))
+        guard = self.guard
+        try:
+            if guard is not None and space is self.gmem:
+                # journal the bytes about to be overwritten
+                guard.undo.append((space, np.array(active) if full
+                                   else active, dtype,
+                                   space.gather(active, dtype)))
+            space.scatter(active, dtype,
+                          (v if full else v[mask]).astype(dtype,
+                                                          casting="unsafe"))
+        except MemoryError_:
+            if warp.width == WARP_SIZE:
+                raise
+            # the warps of a block-wide access left the first lane's
+            # space: each warp resolves (or fails) on its own
+            for r, lanes in active_rows(mask):
+                self.mem_store(warp.row(r), a[lanes], dtype, v[lanes],
+                               mask[lanes])
+            return
+        self._count(warp, space, a, active, dtype.itemsize, mask, True)
 
-    def _note_mem(self, space: LinearMemory, addrs, itemsize, mask) -> None:
-        if space is self.gmem:
-            self.stats.global_mem_instructions += 1
-            self.stats.global_transactions += transactions_memo(
-                addrs, itemsize, mask)
-        elif space.name == "shared":
-            self.stats.shared_accesses += int(mask.sum())
+    def _count(self, warp: WarpExec, space: LinearMemory, addrs, active,
+               itemsize: int, mask: np.ndarray, write: bool) -> None:
+        """Count one access and, in a lockstep run, record it for the
+        race guard (local memory is per-thread: no warp can race there)."""
+        guard = self.guard
+        full = active is addrs
+        if guard is None:
+            warps = None
+            n = warp.rows(mask)
         else:
-            self.stats.local_accesses += int(mask.sum())
+            # the active lanes' warps, ascending (lanes are in warp order)
+            warps = warp.warpid if full else warp.warpid[mask]
+            n = (warp.width // WARP_SIZE if full
+                 else 1 if warps[0] == warps[-1] else warp.rows(mask))
+        stats = self.stats
+        stats.instructions += n
+        if write:
+            stats.store_instructions += n
+        else:
+            stats.load_instructions += n
+        if space is self.gmem:
+            stats.global_mem_instructions += n
+            if isinstance(warp, CompiledExec):
+                stats.global_transactions += row_transactions(
+                    active, warps if n > 1 else None, itemsize)
+            else:   # the tree-walker keeps the oracle's per-warp walk
+                stats.global_transactions += transactions(addrs, itemsize,
+                                                          mask)
+        elif space.name == "shared":
+            stats.shared_accesses += active.size
+        else:
+            stats.local_accesses += active.size
+            return
+        if guard is not None:
+            # a full-mask access may alias a register: keep a copy
+            guard.note(np.array(active) if full else active, warps,
+                       itemsize, write)
 
     # -- loop classification -----------------------------------------------------
     def loop_may_block(self, loop: LoopOp) -> bool:
         cached = self._loop_block_cache.get(id(loop))
         if cached is None:
-            cached = any(
-                isinstance(op, (BarOp, Atom, CallOp))
-                for op in walk_ops(loop.body_ops)
-            ) or any(
-                isinstance(op, (BarOp, Atom, CallOp))
-                for op in walk_ops(loop.cond_ops)
-            )
-            self._loop_block_cache[id(loop)] = cached
+            cached = self._loop_block_cache[id(loop)] = loop_may_block(loop)
         return cached
 
     # -- launch ----------------------------------------------------------------
@@ -289,7 +453,7 @@ class FunctionalEngine:
     ) -> KernelStats:
         compiled = None
         if self.fastpath != "off":
-            compiled = self.compile_cache.get(kernel)
+            compiled = self.compile_cache.get(kernel, self.intrinsics)
         if compiled is not None and self.fastpath == "verify":
             stats = self._launch_verified(kernel, grid, block, params,
                                           only_blocks, only_warps, compiled)
@@ -383,35 +547,93 @@ class FunctionalEngine:
             )
         else:
             blocks = iter(only_blocks)
-        for block_idx in blocks:
-            ctx = BlockCtx(
-                block_idx,
-                (block.x, block.y, block.z),
-                (grid.x, grid.y, grid.z),
-                self.device.shared_mem_per_block,
-                kernel.local_static,
-            )
-            warps = []
-            for w in range(nwarps):
-                if only_warps is not None and w not in only_warps:
-                    # representative-warp sampling: valid only for kernels
-                    # with no inter-warp communication (the caller checks)
-                    continue
-                lane_linear = np.arange(w * WARP_SIZE, (w + 1) * WARP_SIZE,
-                                        dtype=np.int64)
-                valid = lane_linear < nthreads
-                if compiled is not None:
-                    warps.append(CompiledWarpExec(compiled, self, ctx, w,
-                                                  lane_linear, valid,
-                                                  kernel, params))
-                else:
-                    warps.append(WarpExec(self, ctx, w, lane_linear, valid,
-                                          kernel, params))
-            self._run_block(warps)
-            stats.blocks_launched += 1
-            stats.warps_launched += len(warps)
-            stats.threads_launched += nthreads
+        picks = [w for w in range(nwarps)
+                 if only_warps is None or w in only_warps]
+        # representative-warp sampling (only_warps) is valid only for
+        # kernels with no inter-warp communication (the caller checks)
+        lockstep = bool(compiled is not None and compiled.lockstep and picks)
+        # the generated closures leave floating-point error handling to
+        # this one context: C arithmetic wraps and produces inf/nan
+        # silently, like the reference helpers' per-operation errstate
+        with np.errstate(all="ignore"):
+            self._run_blocks(kernel, grid, block, params, blocks, picks,
+                             compiled, lockstep)
         return stats
+
+    def _run_blocks(self, kernel, grid, block, params, blocks, picks,
+                    compiled, lockstep) -> None:
+        stats = self.stats
+        cache = self.compile_cache
+        nthreads = block.count
+        if lockstep:
+            lanes = np.concatenate([
+                np.arange(w * WARP_SIZE, (w + 1) * WARP_SIZE, dtype=np.int64)
+                for w in picks])
+        for block_idx in blocks:
+            if not (lockstep and self._run_lockstep(
+                    compiled, self._block_ctx(kernel, block_idx, grid, block),
+                    lanes, kernel, params)):
+                ctx = self._block_ctx(kernel, block_idx, grid, block)
+                self._run_block([self._warp(compiled, ctx, w, kernel, params)
+                                 for w in picks])
+                cache.warp_blocks += 1
+            stats.blocks_launched += 1
+            stats.warps_launched += len(picks)
+            stats.threads_launched += nthreads
+
+    def _warp(self, compiled, ctx: BlockCtx, w: int, kernel: KernelIR,
+              params: list) -> WarpExec:
+        """The executor of warp ``w`` run on its own (W = 1)."""
+        lanes = np.arange(w * WARP_SIZE, (w + 1) * WARP_SIZE, dtype=np.int64)
+        if compiled is None:
+            return WarpExec(self, ctx, w, lanes, lanes < ctx.nthreads,
+                            kernel, params)
+        return CompiledExec(compiled, self, ctx, w, lanes,
+                            lanes < ctx.nthreads, kernel, params)
+
+    def _block_ctx(self, kernel: KernelIR, block_idx, grid: Dim3,
+                   block: Dim3) -> BlockCtx:
+        return BlockCtx(block_idx, (block.x, block.y, block.z),
+                        (grid.x, grid.y, grid.z),
+                        self.device.shared_mem_per_block, kernel.local_static)
+
+    def _run_lockstep(self, compiled, ctx: BlockCtx, lanes: np.ndarray,
+                      kernel: KernelIR, params: list) -> bool:
+        """Run a block's warps as one activation over ``lanes``.  Returns
+        False, with global memory and the counters as they were before
+        the block, when the race guard saw the warps communicate or the
+        run made a bad memory access: the caller then re-runs the block
+        one warp at a time, which also raises any error in the oracle's
+        order."""
+        exe = CompiledExec(compiled, self, ctx, int(lanes[0]) // WARP_SIZE,
+                           lanes, lanes < ctx.nthreads, kernel, params)
+        stats = self.stats
+        cache = self.compile_cache
+        if exe.width == WARP_SIZE:      # one warp: nothing to race with
+            for _spin, warps in exe.run_kernel():
+                stats.spins += warps
+            cache.lockstep_blocks += 1
+            return True
+        before = [getattr(stats, name) for name in KernelStats.COUNTERS]
+        self.guard = guard = RaceGuard()
+        try:
+            for _spin, warps in exe.run_kernel():
+                stats.spins += warps
+            clean = not guard.conflict()
+        except (LaunchError, MemoryError_):
+            # a bad access, possibly one that only reading another warp's
+            # data early led to: the per-warp re-run decides
+            clean = False
+        finally:
+            self.guard = None
+        if clean:
+            cache.lockstep_blocks += 1
+            return True
+        guard.rollback()
+        for name, value in zip(KernelStats.COUNTERS, before):
+            setattr(stats, name, value)
+        cache.guard_fallbacks += 1
+        return False
 
     def _validate_launch(self, kernel: KernelIR, grid: Dim3, block: Dim3) -> None:
         dev = self.device

@@ -1,5 +1,11 @@
 """Warp executor: structured IR over 32 numpy lanes, lockstep with masks.
 
+This tree-walker is the simulator's reference oracle.  Its register
+file, per-warp counters and intrinsic calls work at any lane width that
+is a multiple of 32, so the compiled executor
+(:mod:`repro.cuda.sim.compile`), which subclasses it, can run W warps of
+a block as one activation over 32·W lanes.
+
 Execution is generator-based: a warp *yields* control events —
 ``('bar', id, count)`` when it arrives at a named barrier and ``('spin',)``
 between iterations of loops that may block (atomics / barriers / runtime
@@ -33,6 +39,27 @@ WARP_SIZE = 32
 _FMT_RE = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?(?:hh|h|ll|l|z)?[diouxXeEfgGcsp%]")
 
 
+def sync_ops(ops: list[Op]) -> Iterator[Op]:
+    """The ops of ``ops``, nested blocks included, that can suspend a warp
+    or order it against the other warps of its block."""
+    return (op for op in walk_ops(ops) if isinstance(op, (BarOp, Atom, CallOp)))
+
+
+def loop_may_block(loop: LoopOp) -> bool:
+    """Whether a loop can wait on other warps: its warp then yields a
+    ``('spin', ...)`` event after every iteration."""
+    return any(sync_ops(loop.body_ops)) or any(sync_ops(loop.cond_ops))
+
+
+def active_rows(mask: np.ndarray) -> Iterator[tuple[int, slice]]:
+    """(row, lane slice) of every 32-lane row of ``mask`` with an active
+    lane, in warp order."""
+    for r in range(mask.size // WARP_SIZE):
+        lanes = slice(r * WARP_SIZE, (r + 1) * WARP_SIZE)
+        if mask[lanes].any():
+            yield r, lanes
+
+
 class WarpExec:
     """One warp's execution state."""
 
@@ -41,7 +68,7 @@ class WarpExec:
         engine: "FunctionalEngine",
         block: "BlockCtx",
         warp_index: int,
-        lane_linear: np.ndarray,      # linear thread ids within the block (32,)
+        lane_linear: np.ndarray,      # linear thread ids within the block (32·W,)
         valid: np.ndarray,            # lanes that correspond to real threads
         kernel: KernelIR,
         params: list,
@@ -53,6 +80,8 @@ class WarpExec:
         self.valid = valid
         self.kernel = kernel
         self.params = params
+        #: lanes per register vector (32 here; 32·W in a lockstep block run)
+        self.width = lane_linear.size
         self.regs: dict[str, np.ndarray] = {}
         self._ret_stack: list[np.ndarray] = []
         self._loop_stack: list[dict[str, np.ndarray]] = []
@@ -70,7 +99,7 @@ class WarpExec:
         if isinstance(operand, Reg):
             arr = self.regs.get(operand.name)
             if arr is None:
-                arr = np.zeros(WARP_SIZE, dtype=np_dtype(operand.dtype))
+                arr = np.zeros(self.width, dtype=np_dtype(operand.dtype))
                 self.regs[operand.name] = arr
             return arr
         if isinstance(operand, Imm):
@@ -83,13 +112,29 @@ class WarpExec:
         arr = self.regs.get(reg.name)
         dtype = np_dtype(reg.dtype)
         if arr is None:
-            arr = np.zeros(WARP_SIZE, dtype=dtype)
+            arr = np.zeros(self.width, dtype=dtype)
             self.regs[reg.name] = arr
         value = np.asarray(value)
         if value.ndim == 0:
             arr[mask] = _cast_scalar(value, dtype)
         else:
             arr[mask] = _cast_vec(value[mask], dtype)
+
+    def rows(self, mask: np.ndarray) -> int:
+        """Warps (32-lane rows) with an active lane in ``mask``, a mask
+        already known to have one: the unit of the per-warp counters."""
+        if self.width == WARP_SIZE:
+            return 1
+        return int(np.count_nonzero(
+            mask.reshape(-1, WARP_SIZE).any(axis=1)))
+
+    def rows_both(self, a: np.ndarray, b: np.ndarray) -> int:
+        """Warps with an active lane in both ``a`` and ``b`` (each known
+        to have one): the rows where a branch diverges."""
+        if self.width == WARP_SIZE:
+            return 1
+        return int(np.count_nonzero(a.reshape(-1, WARP_SIZE).any(axis=1)
+                                    & b.reshape(-1, WARP_SIZE).any(axis=1)))
 
     # -- activations -----------------------------------------------------------
     def run_kernel(self) -> Iterator:
@@ -99,7 +144,7 @@ class WarpExec:
 
     def run_activation(self, ops: list[Op], mask: np.ndarray) -> Iterator:
         """Execute a function activation (kernel body or subfunction)."""
-        self._ret_stack.append(np.zeros(WARP_SIZE, dtype=bool))
+        self._ret_stack.append(np.zeros(self.width, dtype=bool))
         try:
             yield from self._exec(ops, mask.copy())
         finally:
@@ -165,14 +210,14 @@ class WarpExec:
                 mask = yield from self._exec_loop(op, mask)
             elif cls is BreakOp:
                 self._loop_stack[-1]["break"] |= mask
-                mask = np.zeros(WARP_SIZE, dtype=bool)
+                mask = np.zeros(self.width, dtype=bool)
             elif cls is ContinueOp:
                 self._loop_stack[-1]["cont"] |= mask
-                mask = np.zeros(WARP_SIZE, dtype=bool)
+                mask = np.zeros(self.width, dtype=bool)
             elif cls is RetOp:
                 stats.instructions += 1
                 self._ret_stack[-1] |= mask
-                mask = np.zeros(WARP_SIZE, dtype=bool)
+                mask = np.zeros(self.width, dtype=bool)
             elif cls is BarOp:
                 bar_id = int(np.asarray(self.val(op.barrier)).reshape(-1)[0]) \
                     if not np.isscalar(self.val(op.barrier)) else int(self.val(op.barrier))
@@ -246,11 +291,11 @@ class WarpExec:
     def _call(self, op: CallOp, mask: np.ndarray):
         name = op.name
         stats = self.engine.stats
-        stats.instructions += 1
+        stats.instructions += self.rows(mask)
         if name == "__ldparam":
             idx = int(op.args[0].value)
             value = self.params[idx]
-            self.setreg(op.dst, np.full(WARP_SIZE, value,
+            self.setreg(op.dst, np.full(self.width, value,
                                         dtype=np_dtype(op.dst.dtype)), mask)
             return mask
         if name == "__ldarg":
@@ -270,12 +315,16 @@ class WarpExec:
                 "was the device runtime linked? (ptx mode links at JIT time)"
             )
         args = [self.val(a) for a in op.args]
-        result = yield from intrinsic(self, mask, args)
+        result = yield from self._intrinsic(intrinsic, mask, args)
         if op.dst is not None:
             if result is None:
-                result = np.zeros(WARP_SIZE, dtype=np_dtype(op.dst.dtype))
+                result = np.zeros(self.width, dtype=np_dtype(op.dst.dtype))
             self.setreg(op.dst, result, mask)
         return mask & ~self._ret_stack[-1]
+
+    def _intrinsic(self, intrinsic, mask: np.ndarray, args: list):
+        """Run one device-library intrinsic for this warp."""
+        return (yield from intrinsic(self, mask, args))
 
     def _printf(self, op: PrintfOp, mask: np.ndarray) -> None:
         args = [np.broadcast_to(np.asarray(self.val(a)), (WARP_SIZE,)) for a in op.args]

@@ -25,10 +25,12 @@ import numpy as np
 
 from repro.cuda.sim.warp import WARP_SIZE, WarpExec
 from repro.devrt.state import (
-    B1, B2, MW_BLOCK_THREADS, MW_WORKERS, block_state, pure, uniform,
+    B1, B2, MW_BLOCK_THREADS, MW_WORKERS, block_state, order_independent,
+    pure, uniform,
 )
 
 
+@order_independent(uniform_args=1)
 @pure
 def cudadev_target_init(warp: WarpExec, mask, args):
     """Entry call emitted at the top of every generated kernel: selects the
@@ -39,23 +41,27 @@ def cudadev_target_init(warp: WarpExec, mask, args):
     return None
 
 
+@order_independent(uniform_args=0)
 @pure
 def cudadev_in_masterwarp(warp: WarpExec, mask, args):
-    thrid = np.broadcast_to(np.asarray(args[0]), (WARP_SIZE,))
+    thrid = np.broadcast_to(np.asarray(args[0]), warp.lane_linear.shape)
     return (thrid < WARP_SIZE).astype(np.int32)
 
 
+@order_independent(uniform_args=0)
 @pure
 def cudadev_is_masterthr(warp: WarpExec, mask, args):
-    thrid = np.broadcast_to(np.asarray(args[0]), (WARP_SIZE,))
+    thrid = np.broadcast_to(np.asarray(args[0]), warp.lane_linear.shape)
     return (thrid == 0).astype(np.int32)
 
 
+@order_independent(uniform_args=0)
 @pure
 def cudadev_getaddr(warp: WarpExec, mask, args):
     """Identity on device addresses (the generated code routes global
     pointers through this for uniformity with shared-memory pushes)."""
-    return np.broadcast_to(np.asarray(args[0], dtype=np.uint64), (WARP_SIZE,)).copy()
+    return np.broadcast_to(np.asarray(args[0], dtype=np.uint64),
+                           warp.lane_linear.shape).copy()
 
 
 def cudadev_register_parallel(warp: WarpExec, mask, args):

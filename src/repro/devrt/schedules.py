@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cuda.sim.warp import WARP_SIZE, WarpExec
+from repro.cuda.sim.warp import WarpExec
 from repro.devrt.state import (
-    block_state, pure, region_thread_ids, region_threads, store_out, uniform,
+    block_state, order_independent, pure, region_thread_ids, region_threads,
+    store_out, uniform,
 )
 
 
@@ -41,14 +42,15 @@ def _team_bounds(warp: WarpExec, lo: int, hi: int) -> tuple[int, int]:
     return tlo, min(thi, hi)
 
 
+@order_independent(uniform_args=2)
 @pure
 def cudadev_get_distribute_chunk(warp: WarpExec, mask, args):
     """Phase-1 distribution: this team's contiguous chunk of [lo, hi)."""
     lo = int(uniform(args[0], mask))
     hi = int(uniform(args[1], mask))
     tlo, thi = _team_bounds(warp, lo, hi)
-    store_out(warp, args[2], np.int64, np.full(WARP_SIZE, tlo, dtype=np.int64), mask)
-    store_out(warp, args[3], np.int64, np.full(WARP_SIZE, thi, dtype=np.int64), mask)
+    store_out(warp, args[2], np.int64, np.full(mask.size, tlo, dtype=np.int64), mask)
+    store_out(warp, args[3], np.int64, np.full(mask.size, thi, dtype=np.int64), mask)
     return None
 
 
@@ -86,9 +88,9 @@ def _chunk_call(warp: WarpExec, mask, args, kind: str):
     nthreads = region_threads(warp)
     tids = region_thread_ids(warp)
     state = _sched_state(warp, loop_id, kind, lo, hi, nthreads)
-    tlo = np.zeros(WARP_SIZE, dtype=np.int64)
-    thi = np.zeros(WARP_SIZE, dtype=np.int64)
-    got = np.zeros(WARP_SIZE, dtype=np.int32)
+    tlo = np.zeros(mask.size, dtype=np.int64)
+    thi = np.zeros(mask.size, dtype=np.int64)
+    got = np.zeros(mask.size, dtype=np.int32)
     active = np.flatnonzero(mask)
     if kind == "static":
         got[:] = _static_chunks(state["calls"], tids, active, lo, hi, chunk,
@@ -148,6 +150,7 @@ def _static_chunks(calls: np.ndarray, tids: np.ndarray, active: np.ndarray,
     return got
 
 
+@order_independent(uniform_args=4)
 @pure
 def cudadev_get_static_chunk(warp: WarpExec, mask, args):
     return _chunk_call(warp, mask, args, "static")
@@ -161,6 +164,7 @@ def _dim_of(warp: WarpExec, dim: int) -> tuple[int, int, int, int]:
     return ((cx, gx), (cy, gy), (cz, gz))[dim]
 
 
+@order_independent(uniform_args=3)
 @pure
 def cudadev_get_distribute_chunk_dim(warp: WarpExec, mask, args):
     """2D/3D distribute (paper §5: OMPi "maps these values to two
@@ -176,9 +180,9 @@ def cudadev_get_distribute_chunk_dim(warp: WarpExec, mask, args):
     tlo = min(lo + team * chunk, hi)
     thi = min(tlo + chunk, hi)
     store_out(warp, args[3], np.int64,
-              np.full(WARP_SIZE, tlo, dtype=np.int64), mask)
+              np.full(mask.size, tlo, dtype=np.int64), mask)
     store_out(warp, args[4], np.int64,
-              np.full(WARP_SIZE, thi, dtype=np.int64), mask)
+              np.full(mask.size, thi, dtype=np.int64), mask)
     return None
 
 
@@ -191,6 +195,7 @@ def _lane_coord(warp: WarpExec, dim: int) -> tuple[np.ndarray, int]:
     return warp.tid_z.astype(np.int64), bz
 
 
+@order_independent(uniform_args=5)
 @pure
 def cudadev_get_static_chunk_dim(warp: WarpExec, mask, args):
     """Static schedule along one block dimension (thread coordinate
@@ -207,9 +212,9 @@ def cudadev_get_static_chunk_dim(warp: WarpExec, mask, args):
     if calls is None:
         calls = np.zeros(max(devrt["nthreads_block"], 1), dtype=np.int64)
         devrt["sched"][key] = calls
-    tlo = np.zeros(WARP_SIZE, dtype=np.int64)
-    thi = np.zeros(WARP_SIZE, dtype=np.int64)
-    got = np.zeros(WARP_SIZE, dtype=np.int32)
+    tlo = np.zeros(mask.size, dtype=np.int64)
+    thi = np.zeros(mask.size, dtype=np.int64)
+    got = np.zeros(mask.size, dtype=np.int32)
     active = np.flatnonzero(mask)
     # per-lane call counter indexed by the lane's linear thread id
     lane_ids = warp.lane_linear[active]

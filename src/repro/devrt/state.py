@@ -2,9 +2,12 @@
 
 Intrinsics are generator functions ``fn(warp, mask, args)`` that may yield
 scheduler events (barriers, spins) and return a per-lane numpy array (or
-None).  The per-block state lives in ``warp.block.devrt`` — on the real
-GPU this is a control area at the base of shared memory; keeping it as a
-Python dict is equivalent because all warps of a block share it.
+None).  ``warp`` is usually one warp; an intrinsic tagged
+:func:`order_independent` may also be called once for several warps of a
+block run in lockstep, over a lane vector 32·W wide.  The per-block
+state lives in ``warp.block.devrt`` — on the real GPU this is a control
+area at the base of shared memory; keeping it as a Python dict is
+equivalent because all warps of a block share it.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ def region_thread_ids(warp: WarpExec) -> np.ndarray:
         # master is thread 0; workers (linear tid 32..127) are 0..95 in-region
         if devrt["mw"]["in_region"]:
             return np.maximum(warp.lane_linear - WARP_SIZE, 0).astype(np.int32)
-        return np.zeros(WARP_SIZE, dtype=np.int32)
+        return np.zeros(warp.lane_linear.shape, dtype=np.int32)
     return warp.lane_linear.astype(np.int32)
 
 
@@ -88,6 +91,24 @@ def pure(fn):
     gen.__name__ = fn.__name__
     gen.__doc__ = fn.__doc__
     return gen
+
+
+def order_independent(uniform_args: int):
+    """Tag a non-suspending intrinsic whose calls commute across warps.
+
+    Given arguments that agree across the calling lanes, one call over
+    32·W lanes returns and stores exactly what W calls, one per warp in
+    warp order, do.  The tag lets a kernel run its blocks in lockstep
+    (:func:`repro.cuda.sim.compile.lockstep_eligible`).  The first
+    ``uniform_args`` arguments are read with :func:`uniform`, so they
+    decide whether a block-wide call is allowed: when they differ
+    between warps, the executor calls once per warp instead."""
+
+    def tag(fn):
+        fn.lockstep_uniform_args = uniform_args
+        return fn
+
+    return tag
 
 
 def store_out(warp: WarpExec, addr_arg, dtype, values, mask: np.ndarray) -> None:

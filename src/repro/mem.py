@@ -166,6 +166,15 @@ class LinearMemory:
             self.high_water = end
         return self.buf[off:end].view(dt)
 
+    def _elements(self, dt: np.dtype, offs: np.ndarray):
+        """The buffer as an array of ``dt`` when every offset is aligned
+        to the element size, so an access indexes whole elements (one
+        lane per index instead of one per byte); else None."""
+        size = dt.itemsize
+        if size & (size - 1) or (offs & (size - 1)).any():
+            return None
+        return self.buf[:self.capacity - self.capacity % size].view(dt)
+
     def gather(self, addrs: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """Vector load at per-lane byte addresses (SIMT warp loads)."""
         dt = np.dtype(dtype)
@@ -187,6 +196,9 @@ class LinearMemory:
                 return self.buf[start:end].view(dt)[::step // dt.itemsize].copy()
         if n and (offs.min() < 0 or offs.max() + dt.itemsize > self.capacity):
             raise MemoryError_(f"{self.name}: vector load out of range")
+        elements = self._elements(dt, offs)
+        if elements is not None:
+            return elements[offs // dt.itemsize]
         idx = offs[:, None] + np.arange(dt.itemsize, dtype=np.int64)[None, :]
         raw = self.buf[idx.reshape(-1)]
         return raw.view(dt).reshape(offs.shape)
@@ -221,6 +233,11 @@ class LinearMemory:
             if offs.min() < 0 or end > self.capacity:
                 raise MemoryError_(f"{self.name}: vector store out of range")
             self._touch(end)
+        elements = self._elements(dt, offs)
+        if elements is not None:
+            elements[offs // dt.itemsize] = np.ascontiguousarray(values,
+                                                                 dtype=dt)
+            return
         raw = np.ascontiguousarray(values, dtype=dt).view(np.uint8).reshape(-1, dt.itemsize)
         idx = offs[:, None] + np.arange(dt.itemsize, dtype=np.int64)[None, :]
         self.buf[idx.reshape(-1)] = raw.reshape(-1)

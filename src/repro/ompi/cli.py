@@ -205,7 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     if run.profile is not None:
         from repro.prof.report import summary
         print(summary(run.profile,
-                      compile_cache=cache if args.cache_stats else None),
+                      compile_cache=cache if args.cache_stats else None,
+                      kernel_caches=[dev.driver.kernel_cache
+                                     for dev in run.ort.devices]),
               file=sys.stderr)
         if isinstance(args.profile, str):
             print(f"ompicc: chrome trace written to {args.profile}",

@@ -31,11 +31,25 @@ def _cache_lines(compile_cache) -> list[str]:
     return lines
 
 
-def summary(recorder: ActivityRecorder, compile_cache=None) -> str:
+def _block_line(kernel_caches) -> str:
+    """How the simulator ran thread blocks, summed over the drivers'
+    kernel caches (:class:`repro.cuda.sim.compile.CompiledKernelCache`)."""
+    caches = list(kernel_caches)
+    lock = sum(c.lockstep_blocks for c in caches)
+    per_warp = sum(c.warp_blocks for c in caches)
+    guard = sum(c.guard_fallbacks for c in caches)
+    return (f"kernel blocks: {lock} lockstep, {per_warp} per-warp, "
+            f"{guard} race-guard fallback(s)")
+
+
+def summary(recorder: ActivityRecorder, compile_cache=None,
+            kernel_caches=None) -> str:
     """Human-readable profile summary: activity counts, device-time
     totals, transfer volumes/bandwidth, memory peak, per-kernel table.
     ``compile_cache`` (a :class:`repro.ompi.cache.CompileCache`) appends
-    its hit/miss/evict counters for both tiers."""
+    its hit/miss/evict counters for both tiers; ``kernel_caches`` (the
+    drivers' kernel caches) adds how their blocks ran: in lockstep, per
+    warp, or per warp after a race-guard fallback."""
     lines = ["=== repro.prof summary ==="]
     if not len(recorder):
         lines.append("(no activity recorded)")
@@ -58,6 +72,8 @@ def summary(recorder: ActivityRecorder, compile_cache=None) -> str:
         if wall > 0.0:
             lines.append(f"kernel time (host wall): {wall * 1e3:.1f} ms "
                          f"simulating the launches")
+    if kernel_caches is not None:
+        lines.append(_block_line(kernel_caches))
 
     for direction, label in (("h2d", "HtoD"), ("d2h", "DtoH")):
         xs = [r for r in recorder.records("memcpy") if r.direction == direction]

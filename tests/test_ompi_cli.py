@@ -78,6 +78,17 @@ def test_profile_summary_keeps_cache_stats(src_file, capsys):
     assert "disk cache: hits=" in summary
 
 
+def test_profile_summary_counts_how_blocks_ran(src_file, capsys,
+                                               monkeypatch):
+    # one 256-thread block of a barrier-free kernel: its 8 warps run as
+    # one lockstep activation
+    monkeypatch.setenv("REPRO_KERNEL_FASTPATH", "on")
+    assert main([str(src_file), "--profile"]) == 0
+    summary = _profile_summary(capsys.readouterr().err)
+    assert ("kernel blocks: 1 lockstep, 0 per-warp, "
+            "0 race-guard fallback(s)") in summary
+
+
 def test_profile_cache_stats_with_jit_cache(src_file, tmp_path, capsys):
     jit = tmp_path / "jit"
     assert main([str(src_file), "--ptx", "--cache", str(jit), "--profile",
