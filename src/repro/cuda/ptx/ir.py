@@ -242,6 +242,14 @@ class KernelIR:
     #: parallel-region bodies); name -> (params, body)
     subfunctions: dict[str, "KernelIR"] = field(default_factory=dict)
 
+    def __getstate__(self) -> dict:
+        # the simulator hangs its compiled closures (``closures``, see
+        # repro.cuda.sim.compile) off the kernel: a process-local cache,
+        # never part of the image's bytes
+        state = dict(self.__dict__)
+        state.pop("closures", None)
+        return state
+
     def static_op_count(self) -> int:
         def count(ops: list[Op]) -> int:
             total = 0

@@ -15,11 +15,15 @@ vectors:
   helpers do per operation);
 * single-use pure values are fused textually into their consumer, so a
   chain like ``mul/add/ld/add/st`` becomes one composed numpy expression;
-* predicated control flow (``IfOp``/``LoopOp``) keeps the exact
-  mask-algebra of the interpreter, bit for bit, including divergence and
-  loop-iteration counters;
+* values the same on every active lane (:class:`_Analysis`: kernel
+  parameters, block ids, counters of uniform loops, one-element loads)
+  stay 0-d numpy scalars; a branch or loop on a uniform condition is one
+  Python branch, any other keeps the exact mask-algebra of the
+  interpreter, bit for bit, including divergence and loop-iteration
+  counters;
 * loads and stores call ``FunctionalEngine.mem_load``/``mem_store``,
-  the one memory-access routine the tree-walker uses too;
+  the one memory-access routine the tree-walker uses too; an address no
+  trip of a loop changes is computed once before it;
 * anything stateful or rare (intrinsic calls, atomics, printf, barriers)
   delegates to the original ``WarpExec`` methods so the semantics cannot
   drift.
@@ -29,7 +33,7 @@ The generated closures are still generators (they ``yield`` the same
 scheduling, named barriers and the master/worker scheme are untouched.
 
 The closures read their lane width from the executor.  A kernel with no
-synchronisation between warps (:func:`lockstep_eligible`) runs all W
+synchronisation between warps (:meth:`CompiledKernel.lockstep`) runs all W
 warps of a block as one activation over 32·W lanes; every other kernel
 runs one activation per warp (W = 1) under the block scheduler.  The
 per-warp counters (instructions, memory instructions, loop iterations,
@@ -38,14 +42,14 @@ so ``KernelStats`` is the same at every width.
 
 Compilation is conservative: any construct outside the supported set
 raises :class:`UnsupportedKernel` and the caller silently falls back to
-the tree-walker.  ``CompiledKernelCache`` memoizes per (kernel image id,
-param dtypes) so repeated ``cuLaunchKernel`` calls skip re-lowering.
+the tree-walker.  A kernel is lowered once for the life of its image:
+the closures hang off its ``KernelIR`` (:class:`CompiledKernelCache`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -80,25 +84,14 @@ def _is_seg_op(op) -> bool:
 # runtime helpers referenced by generated code
 # --------------------------------------------------------------------------
 
-def _scan_bc(ops) -> tuple[bool, bool]:
-    """Whether ``ops`` contains a break / continue binding to the enclosing
-    loop (recurses into if-arms but not into nested loops, whose breaks
-    bind to themselves)."""
-    has_b = has_c = False
-    for o in ops:
-        t = type(o)
-        if t is BreakOp:
-            has_b = True
-        elif t is ContinueOp:
-            has_c = True
-        elif t is IfOp:
-            b, c = _scan_bc(o.then_ops)
-            has_b |= b
-            has_c |= c
-            b, c = _scan_bc(o.else_ops)
-            has_b |= b
-            has_c |= c
-    return has_b, has_c
+class _LoopFlow(NamedTuple):
+    """How lanes can leave a loop's parts early."""
+
+    brk: bool           # the body breaks out of the loop
+    cont: bool          # the body continues the loop
+    ret: bool           # a return anywhere in the loop
+    cond_exits: bool    # the condition ops may drop lanes
+    step_bc: bool       # the step ops break or continue
 
 
 def _reg(regs: dict, name: str, dtype: np.dtype, width: int) -> np.ndarray:
@@ -132,9 +125,8 @@ def _barcnt(v) -> int:
 
 
 _GLOBALS = {
-    "np": np, "_reg": _reg, "_cs": _cast_scalar, "_cv": _cast_vec, "_cvt": _convert,
-    "_bop": _binop, "_ldargv": _ldargv, "_barid": _barid,
-    "_barcnt": _barcnt,
+    "np": np, "_reg": _reg, "_bop": _binop, "_ldargv": _ldargv,
+    "_barid": _barid, "_barcnt": _barcnt,
 }
 
 
@@ -146,36 +138,59 @@ _GLOBALS = {
 class _RegInfo:
     dtype: Optional[str] = None
     conflict: bool = False
-    ndefs: int = 0
-    def_fn: int = -1
-    def_bid: int = -1
-    def_idx: int = -1
-    def_op: object = None
+    #: (function, block, index, op) of every def, in program order
+    defs: list = field(default_factory=list)
     uses: list = field(default_factory=list)
     pinned: bool = False
     temp: bool = False
+    uniform: bool = False
+
+
+#: special registers with one value for the whole block
+_UNIFORM_SREGS = frozenset(f"{k}.{a}" for k in ("ntid", "ctaid", "nctaid")
+                           for a in "xyz")
 
 
 class _Analysis:
-    """Def/use scan over all function bodies of a kernel.
+    """Def/use and uniformity analysis over all function bodies of a kernel.
 
     A register is a *temp* (kept as a generated local / fused expression
-    instead of a 32-wide entry in ``warp.regs``) iff it has exactly one
+    instead of a lane vector in ``warp.regs``) iff it has exactly one
     def, that def is a plain data op, it is never touched by a delegated
     op (intrinsic call, atomic, printf, barrier operand), and every use
     appears strictly after the def inside the def's block (at any
-    nesting depth) within the same function.  Everything else stays in
-    the register dict with interpreter-identical lazy-zeros semantics.
+    nesting depth) within the same function.
+
+    A register is *uniform* (one value on every active lane, kept as a
+    0-d numpy scalar) iff every def computes a uniform value — from
+    immediates, global addresses, kernel parameters, block-wide special
+    registers, uniform registers and loads from a uniform address — and,
+    unless it is a temp, its defs all run under one mask: the first def
+    sits at the top level of a block that holds every other def and use
+    after it, and the other defs run where the mask provably equals the
+    first def's.  Masks are tracked as symbolic values (:meth:`_place`):
+    a uniform branch or loop test keeps the mask, a varying one narrows
+    it, and a construct that no lane can leave early (no break, continue
+    or return binding outside it) restores it.  The two properties feed
+    each other, so they are found as a greatest fixpoint.
+
+    Everything else stays in the register dict with interpreter-identical
+    lazy-zeros semantics.
     """
 
     def __init__(self, kernel: KernelIR):
         self.regs: dict[str, _RegInfo] = {}
         self.parent: dict[int, tuple] = {}
         self._nb = 0
-        fns = [kernel.body] + [s.body for s in kernel.subfunctions.values()]
-        for fi, ops in enumerate(fns):
+        self.fns = [kernel.body] + [s.body for s in kernel.subfunctions.values()]
+        #: per IfOp: whether an arm may drop lanes; per LoopOp: _LoopFlow
+        self.retires: dict[int, bool] = {}
+        self.loops: dict[int, _LoopFlow] = {}
+        for fi, ops in enumerate(self.fns):
             self._scan(ops, fi, None, None)
+            self._flow(ops)
         self._classify()
+        self._uniformity()
 
     def _info(self, name: str) -> _RegInfo:
         info = self.regs.get(name)
@@ -205,9 +220,7 @@ class _Analysis:
     def _def(self, reg: Reg, fi, bid, idx, op) -> None:
         info = self._info(reg.name)
         self._dt(info, reg.dtype)
-        info.ndefs += 1
-        info.def_fn, info.def_bid, info.def_idx = fi, bid, idx
-        info.def_op = op
+        info.defs.append((fi, bid, idx, op))
 
     def _scan(self, ops, fi, pbid, pidx) -> int:
         bid = self._nb
@@ -279,29 +292,156 @@ class _Analysis:
                 raise UnsupportedKernel(f"unknown op {cls.__name__}")
         return bid
 
+    def _flow(self, ops) -> tuple[bool, bool, bool]:
+        """(break, continue, return): whether running ``ops`` may drop
+        lanes from the mask that reaches the code after them, through a
+        break or continue binding outside ``ops`` or a return anywhere
+        inside.  Records the facts of every if and loop on the way."""
+        b = c = r = False
+        for op in ops:
+            cls = type(op)
+            if cls is BreakOp:
+                b = True
+            elif cls is ContinueOp:
+                c = True
+            elif cls is RetOp:
+                r = True
+            elif cls is IfOp:
+                tb, tc, tr = self._flow(op.then_ops)
+                eb, ec, er = self._flow(op.else_ops)
+                self.retires[id(op)] = tb or tc or tr or eb or ec or er
+                b, c, r = b or tb or eb, c or tc or ec, r or tr or er
+            elif cls is LoopOp:
+                cond = self._flow(op.cond_ops)
+                body = self._flow(op.body_ops)
+                step = self._flow(getattr(op, "step_ops", None) or [])
+                ret = cond[2] or body[2] or step[2]
+                self.loops[id(op)] = _LoopFlow(body[0], body[1], ret,
+                                               any(cond), step[0] or step[1])
+                r = r or ret
+        return b, c, r
+
+    def _after(self, site: tuple, bid: int, idx: int) -> bool:
+        """Whether ``site`` = (block, index) lies after op ``idx`` of block
+        ``bid``, at any nesting depth."""
+        b, j = site
+        while b is not None and b != bid:
+            b, j = self.parent[b]
+        return b == bid and j is not None and j > idx
+
     def _classify(self) -> None:
         for info in self.regs.values():
             if info.conflict:
                 # same virtual register used at two dtypes: the lazy
                 # creation dtype would depend on runtime touch order
                 raise UnsupportedKernel("register dtype conflict")
-            if info.pinned or info.ndefs != 1 or info.def_op is None:
+            if info.pinned or len(info.defs) != 1:
                 continue
-            op = info.def_op
-            if type(op) is CallOp and op.name not in _PSEUDO:
+            fi, bid, idx, _op = info.defs[0]
+            info.temp = all(ufi == fi and self._after((ub, uj), bid, idx)
+                            for ufi, ub, uj in info.uses)
+
+    # -- uniformity --------------------------------------------------------
+    def _uni(self, o) -> bool:
+        t = type(o)
+        if t is Reg:
+            return self.regs[o.name].uniform
+        return t is Imm or t is GlobalAddr
+
+    def _uni_def(self, op) -> bool:
+        """Whether the value ``op`` defines is the same on every lane."""
+        cls = type(op)
+        if cls is BinOp:
+            return self._uni(op.a) and self._uni(op.b)
+        if cls in (UnOp, Mov, Cvt):
+            return self._uni(op.a)
+        if cls is SelOp:
+            return self._uni(op.pred) and self._uni(op.a) and self._uni(op.b)
+        if cls is Sreg:
+            return op.sreg in _UNIFORM_SREGS
+        if cls is Ld:
+            return self._uni(op.addr)
+        return cls is CallOp and op.name == "__ldparam"
+
+    def _fresh(self) -> int:
+        self._nid += 1
+        return self._nid
+
+    def _place(self, ops, mid: int) -> int:
+        """Give every data op of ``ops`` the symbolic mask it runs under,
+        starting from ``mid``; returns the mask after the block.  Blocks
+        are numbered in :meth:`_scan` order, dead code included."""
+        bid = self._pb
+        self._pb += 1
+        for i, op in enumerate(ops):
+            cls = type(op)
+            if cls is IfOp:
+                uni = self._uni(op.cond)
+                if uni:
+                    self.uniform_conds.add(id(op))
+                self._place(op.then_ops, mid if uni else self._fresh())
+                self._place(op.else_ops, mid if uni else self._fresh())
+                if self.retires[id(op)]:
+                    mid = self._fresh()
+            elif cls is LoopOp:
+                step = getattr(op, "step_ops", None) or []
+                f = self.loops[id(op)]
+                keeps = not f.ret and not f.cond_exits
+                uni = self._uni(op.cond)
+                if uni:
+                    self.uniform_conds.add(id(op))
+                # lanes leave across trips unless the test is uniform and
+                # nothing in the loop drops lanes for good
+                head = mid if uni and keeps and not f.brk else self._fresh()
+                self._place(op.cond_ops, head)
+                body = head if uni else self._fresh()
+                end = self._place(op.body_ops, body)
+                if step:
+                    # continuing lanes rejoin before the step ops
+                    rejoin = end == body or (f.cont and not f.brk
+                                             and not f.ret)
+                    self._place(step, body if rejoin else self._fresh())
+                if not keeps:
+                    mid = self._fresh()
+            elif cls in (BreakOp, ContinueOp, RetOp):
+                mid = self._fresh()
+            else:
+                self.site_mid[(bid, i)] = mid
+        return mid
+
+    def _placed(self, info: _RegInfo) -> bool:
+        _fi, bid, idx, _op = info.defs[0]
+        home = self.site_mid[(bid, idx)]
+        return (all(self.site_mid[(b, j)] == home
+                    and self._after((b, j), bid, idx)
+                    for _f, b, j, _o in info.defs[1:])
+                and all(self._after((b, j), bid, idx)
+                        for _f, b, j in info.uses))
+
+    def _uniformity(self) -> None:
+        cands = []
+        for info in self.regs.values():
+            if info.pinned or not info.defs:
                 continue
-            ok = True
-            for (ufi, ubid, uidx) in info.uses:
-                if ufi != info.def_fn:
-                    ok = False
-                    break
-                b, j = ubid, uidx
-                while b is not None and b != info.def_bid:
-                    b, j = self.parent[b]
-                if b != info.def_bid or j is None or j <= info.def_idx:
-                    ok = False
-                    break
-            info.temp = ok
+            fns = {d[0] for d in info.defs} | {u[0] for u in info.uses}
+            if len(fns) == 1:
+                info.uniform = True
+                cands.append(info)
+        while True:
+            self.uniform_conds: set[int] = set()
+            self.site_mid: dict[tuple, int] = {}
+            self._pb = self._nid = 0
+            for ops in self.fns:
+                self._place(ops, self._fresh())
+            changed = False
+            for info in cands:
+                if info.uniform and not (
+                        all(self._uni_def(d[3]) for d in info.defs)
+                        and (info.temp or self._placed(info))):
+                    info.uniform = False
+                    changed = True
+            if not changed:
+                return
 
 # --------------------------------------------------------------------------
 # expression values
@@ -312,8 +452,14 @@ class _Val:
     """A generated expression plus the metadata codegen decisions need:
     result dtype/scalarness (derived by evaluating the *reference*
     operator on dummy operands, so numpy promotion is exact), purity
-    (safe to defer), and which register locals it reads (so deferred
-    expressions are flushed before those registers are overwritten)."""
+    (safe to defer or hoist), and which locals it reads (so deferred
+    expressions are flushed before those registers are overwritten, and
+    a loop knows whether the value changes across its trips).
+
+    ``scalar`` values are 0-d numpy values.  ``wide`` marks a uniform
+    one the tree-walker holds as a lane vector (a kernel parameter, a
+    uniform register, a one-element load): its casts must follow the
+    vector rules (wrap-around), not the 0-d ones."""
 
     text: str
     dtype: np.dtype
@@ -323,13 +469,14 @@ class _Val:
     pure: bool = True
     bare_reg: bool = False
     refs: frozenset = frozenset()
+    wide: bool = False
 
 
 def _dummy(v: _Val):
     """Representative operand for dtype/scalarness inference."""
     if v.has_const:
         return v.const
-    if v.scalar:
+    if v.scalar and not v.wide:
         return v.dtype.type(1)
     return np.ones(2, dtype=v.dtype)
 
@@ -419,13 +566,33 @@ _INLINE_BIN = {
 }
 
 
+class _Scope:
+    """A loop being emitted: what its trips may change, and the slot
+    before its ``while`` where trip-invariant addresses are computed."""
+
+    def __init__(self, slot: list, written: set, plans: bool, opaque: bool):
+        self.slot = slot
+        #: register names any op of the loop writes
+        self.written = written
+        #: the mask object stays the same on every trip (uniform test), so
+        #: a hoisted vector address carries a memory-access plan
+        self.plans = plans
+        #: a runtime call may run another function over the shared
+        #: register dict: nothing is hoisted
+        self.opaque = opaque
+        #: temp locals assigned inside the loop
+        self.assigned: set = set()
+        #: address text -> (local, plan local or None)
+        self.hoisted: dict = {}
+
+
 class _FnGen:
     def __init__(self, kc: _KernelCompiler, fi: int, ops: list):
         self.kc = kc
         self.an = kc.an
         self.fi = fi
         self.ops = ops
-        self.lines: list[tuple[int, str]] = []
+        self.lines: list[tuple[int, object]] = []
         self.ind = 0
         self.uid_n = 0
         self.reg_locals: dict[str, tuple[str, str]] = {}  # name -> (local, dt)
@@ -435,6 +602,10 @@ class _FnGen:
         self.temp_names: dict[str, str] = {}
         self.pend_order: list[str] = []
         self.loop_ctx: list[tuple[str, str]] = []
+        self.scopes: list[_Scope] = []
+        #: vector addresses the current segment computed: text -> (local,
+        #: plan local, the locals the text reads)
+        self.seg_addrs: dict[str, tuple] = {}
         #: locals holding counts of the current mask ("rows": warps with
         #: an active lane, "lanes": active lanes), reset when m changes
         self.m_counts: dict[str, str] = {}
@@ -480,7 +651,11 @@ class _FnGen:
         out = [f"def {fname}(warp, m):"]
 
         def put(ind, text):
-            out.append("    " * ind + text)
+            if isinstance(text, list):          # a loop's hoisted values
+                for t in text:
+                    put(ind, t)
+            else:
+                out.append("    " * ind + text)
 
         put(1, "engine = warp.engine")
         put(1, "stats = engine.stats")
@@ -491,8 +666,11 @@ class _FnGen:
         put(1, "_Z = warp.zmask")
         put(1, "m = m.copy()")
         for name, (local, dtstr) in self.reg_locals.items():
-            put(1, f"{local} = _reg(regs, {name!r}, "
-                   f"{self.kc.dt(np_dtype(dtstr))}, _n)")
+            dd = self.kc.dt(np_dtype(dtstr))
+            if self.scalar_reg(name):
+                put(1, f"{local} = {dd}.type(0)")
+            else:
+                put(1, f"{local} = _reg(regs, {name!r}, {dd}, _n)")
         for local, expr in self.sreg_locals.values():
             put(1, f"{local} = {expr}")
         for gname, local in self.glob_locals.items():
@@ -512,6 +690,11 @@ class _FnGen:
         return "\n".join(out)
 
     # -- operand handling --------------------------------------------------
+    def scalar_reg(self, name: str) -> bool:
+        """A uniform register that is no temp: one 0-d local."""
+        info = self.an.regs[name]
+        return info.uniform and not info.temp
+
     def reg_local(self, name: str, dtstr: str) -> str:
         ent = self.reg_locals.get(name)
         if ent is None:
@@ -533,6 +716,9 @@ class _FnGen:
                     self.temp_state[o.name] = ("used", val)
                 return val
             local = self.reg_local(o.name, o.dtype)
+            if info.uniform:
+                return _Val(local, np_dtype(o.dtype), True, wide=True,
+                            refs=frozenset((local,)))
             return _Val(local, np_dtype(o.dtype), False, bare_reg=True,
                         refs=frozenset((local,)))
         if cls is Imm:
@@ -581,7 +767,9 @@ class _FnGen:
     def vcast_text(self, text: str, src: np.dtype, dt: np.dtype) -> str:
         """``_cast_vec``/``_convert`` specialised at compile time: the
         trunc-before-narrow rule depends only on the static dtypes, and the
-        surrounding segment already suppresses fp warnings."""
+        surrounding segment already suppresses fp warnings.  Numpy scalars
+        take the same ``astype``, so a wide uniform value wraps like the
+        lane vector it stands for."""
         dd = self.kc.dt(dt)
         if dt.kind in "iu" and src.kind == "f":
             return f"np.trunc({text}).astype({dd}, casting='unsafe')"
@@ -603,11 +791,11 @@ class _FnGen:
             with np.errstate(all="ignore"):
                 c = _cast_scalar(np.asarray(v.const), dt)
             return self.kc.fold(c)
-        if v.scalar:
+        if v.scalar and not v.wide:
             return _Val(self.scast_text(v.text, v.dtype, dt), dt, True,
                         pure=v.pure, refs=v.refs)
-        return _Val(self.vcast_text(v.text, v.dtype, dt), dt, False,
-                    pure=v.pure, refs=v.refs)
+        return _Val(self.vcast_text(v.text, v.dtype, dt), dt, v.scalar,
+                    pure=v.pure, refs=v.refs, wide=v.wide)
 
     def materialize(self, name: str, cv: _Val) -> None:
         t = self.temp_names.get(name)
@@ -616,8 +804,11 @@ class _FnGen:
             self.temp_names[name] = t
         text = cv.text + (".copy()" if cv.bare_reg else "")
         self.w(f"{t} = {text}")
+        for scope in self.scopes:
+            scope.assigned.add(t)
         self.temp_state[name] = ("local", _Val(
-            t, cv.dtype, cv.scalar, const=cv.const, has_const=cv.has_const))
+            t, cv.dtype, cv.scalar, const=cv.const, has_const=cv.has_const,
+            refs=frozenset((t,)), wide=cv.wide))
 
     def flush_refs(self, local: str) -> None:
         if not self.pend_order:
@@ -651,15 +842,19 @@ class _FnGen:
             return
         local = self.reg_local(name, reg.dtype)
         self.flush_refs(local)
-        if v.has_const:
+        for text in [t for t, ent in self.seg_addrs.items() if local in ent[2]]:
+            del self.seg_addrs[text]
+        if info.uniform:
+            cv = self.cast_val(v, dt)
+            if not cv.scalar:
+                raise UnsupportedKernel(f"uniform {name} given a lane vector")
+            self.w(f"{local} = {cv.text}")
+        elif v.has_const:
             with np.errstate(all="ignore"):
                 c = _cast_scalar(np.asarray(v.const), dt)
             self.w(f"{local}[m] = {self.kc.fold(c).text}")
         elif v.scalar:
-            if v.dtype == dt:
-                self.w(f"{local}[m] = {v.text}")
-            else:
-                self.w(f"{local}[m] = {self.scast_text(v.text, v.dtype, dt)}")
+            self.w(f"{local}[m] = {self.cast_val(v, dt).text}")
         elif v.dtype == dt:
             self.w(f"np.copyto({local}, {v.text}, where=m)")
         else:
@@ -680,19 +875,19 @@ class _FnGen:
                 continue
             cls = type(op)
             if cls is IfOp:
-                self.emit_if(op, maybe_empty)
-                maybe_empty = True
+                # a construct that keeps the mask keeps it non-empty
+                maybe_empty = not self.emit_if(op, maybe_empty) or maybe_empty
             elif cls is LoopOp:
-                self.emit_loop(op, maybe_empty)
-                maybe_empty = True
+                maybe_empty = not self.emit_loop(op, maybe_empty) or maybe_empty
             elif cls is BarOp:
                 self.emit_bar(op, maybe_empty)
             elif cls is CallOp:
+                # the call hands back m minus returned lanes, which m
+                # never holds: the mask stays as it is
                 ref = self.kc.op_ref(op)
                 self.guard_open(maybe_empty)
-                self.set_m(f"yield from warp._call({ref}, m)")
+                self.w(f"yield from warp._call({ref}, m)")
                 self.guard_close(maybe_empty)
-                maybe_empty = True
             elif cls is PrintfOp:
                 ref = self.kc.op_ref(op)
                 self.guard_open(maybe_empty)
@@ -769,12 +964,54 @@ class _FnGen:
                     self.w(f"stats.{key} += {lanes}")
                 elif count:
                     self.w(f"stats.{key} += {count} * {lanes}")
+        self.seg_addrs = {}
         for op in seg:
             self.emit_seg_op(op)
         self.flush_all()
         if len(self.lines) == mark:
             self.w("pass")
         self.guard_close(maybe_empty)
+
+    def invariant(self, a: _Val, scope: _Scope) -> bool:
+        """Whether no trip of the loop ``scope`` changes the value of
+        ``a`` (a constant needs no hoisting)."""
+        written = {self.reg_locals[n][0] for n in scope.written
+                   if n in self.reg_locals}
+        return (not scope.opaque and a.pure and not a.has_const
+                and not a.refs & (scope.assigned | written))
+
+    def address(self, a: _Val) -> tuple[str, str]:
+        """The text of an address and of the plan argument its access
+        passes (:meth:`FunctionalEngine.mem_load`).  Inside a loop, an
+        address no trip changes is computed once before the loop and,
+        when the loop's mask is fixed, its access is resolved once per
+        loop entry.  A vector address a segment uses twice (the load and
+        the store of ``x[i] += ...``) is computed and resolved once."""
+        scope = self.scopes[-1] if self.scopes else None
+        if scope is not None and self.invariant(a, scope):
+            ent = scope.hoisted.get(a.text)
+            if ent is None:
+                local, plan = a.text, None
+                if not a.text.isidentifier():
+                    local = f"h{self.uid()}"
+                    scope.slot.append(f"{local} = {a.text}")
+                if scope.plans and not a.scalar:
+                    plan = f"p{self.uid()}"
+                    scope.slot.append(f"{plan} = [None]")
+                ent = scope.hoisted[a.text] = (local, plan)
+            local, plan = ent
+            return local, f", {plan}" if plan else ""
+        if a.scalar or not a.pure:
+            return a.text, ""
+        ent = self.seg_addrs.get(a.text)
+        if ent is None:
+            local, plan = a.text, f"p{self.uid()}"
+            if not a.text.isidentifier():
+                local = f"a{self.uid()}"
+                self.w(f"{local} = {a.text}")
+            self.w(f"{plan} = [None]")
+            ent = self.seg_addrs[a.text] = (local, plan, a.refs)
+        return ent[0], f", {ent[1]}"
 
     def emit_seg_op(self, op) -> None:
         cls = type(op)
@@ -792,16 +1029,20 @@ class _FnGen:
             self.write_dst(op.dst, self.sreg_val(op.sreg))
         elif cls is Ld:
             a = self.operand(op.addr)
+            text, plan = self.address(a)
             dt = np_dtype(op.dst.dtype)
-            v = _Val(f"engine.mem_load(warp, {a.text}, {self.kc.dt(dt)}, m)",
-                     dt, False, pure=False, refs=a.refs)
+            # one address: one element, the same on every lane
+            v = _Val(f"engine.mem_load(warp, {text}, {self.kc.dt(dt)}, m"
+                     f"{plan})", dt, a.scalar, pure=False, refs=a.refs,
+                     wide=a.scalar)
             self.write_dst(op.dst, v, impure=True)
         elif cls is St:
             a = self.operand(op.addr)
             val = self.operand(op.value)
+            text, plan = self.address(a)
             dt = np_dtype(op.dtype)
-            self.w(f"engine.mem_store(warp, {a.text}, {self.kc.dt(dt)}, "
-                   f"{val.text}, m)")
+            self.w(f"engine.mem_store(warp, {text}, {self.kc.dt(dt)}, "
+                   f"{val.text}, m{plan})")
         elif cls is CallOp:
             self.emit_pseudo(op)
         else:  # pragma: no cover - block_ops only sends seg ops here
@@ -813,8 +1054,9 @@ class _FnGen:
             raise UnsupportedKernel(f"{op.name} with non-immediate arg")
         idx = int(op.args[0].value)
         if op.name == "__ldparam":
-            v = _Val(f"np.full(_n, warp.params[{idx}], "
-                     f"dtype={self.kc.dt(dt)})", dt, False)
+            # what np.full would put on every lane, as one 0-d value
+            v = _Val(f"np.full((), warp.params[{idx}], "
+                     f"dtype={self.kc.dt(dt)})[()]", dt, True, wide=True)
         elif op.name == "__ldarg":
             v = _Val(f"_ldargv(warp, {idx}, {self.kc.dt(dt)})", dt, False)
         elif op.name == "__local_base":
@@ -832,6 +1074,14 @@ class _FnGen:
         except Exception as exc:
             raise UnsupportedKernel(f"meta eval failed: {exc}") from None
 
+    def _derived(self, text: str, r, *vals: _Val) -> _Val:
+        """The value of an operator over ``vals`` whose reference result
+        on their dummies is ``r``: scalar when every operand is."""
+        scalar = all(v.scalar for v in vals)
+        return _Val(text, r.dtype, scalar, pure=all(v.pure for v in vals),
+                    refs=frozenset().union(*(v.refs for v in vals)),
+                    wide=scalar and r.ndim != 0)
+
     def bin_val(self, op: BinOp) -> _Val:
         a = self.operand(op.a)
         b = self.operand(op.b)
@@ -839,9 +1089,7 @@ class _FnGen:
             r = self._meta(_binop, op.op, a.const, b.const)
             return self.kc.fold(r)
         r = np.asarray(self._meta(_binop, op.op, _dummy(a), _dummy(b)))
-        text = self._bin_text(op.op, a, b)
-        return _Val(text, r.dtype, r.ndim == 0,
-                    pure=a.pure and b.pure, refs=a.refs | b.refs)
+        return self._derived(self._bin_text(op.op, a, b), r, a, b)
 
     def _bin_text(self, o: str, a: _Val, b: _Val) -> str:
         sym = _INLINE_BIN.get(o)
@@ -882,7 +1130,7 @@ class _FnGen:
             text = f"np.{'abs' if o == 'abs' else o}({a.text})"
         else:
             raise UnsupportedKernel(f"unop {o}")
-        return _Val(text, r.dtype, r.ndim == 0, pure=a.pure, refs=a.refs)
+        return self._derived(text, r, a)
 
     def sel_val(self, op: SelOp) -> _Val:
         p = self.operand(op.pred)
@@ -896,9 +1144,7 @@ class _FnGen:
             return self.kc.fold(self._meta(ref, p.const, a.const, b.const))
         r = np.asarray(self._meta(ref, _dummy(p), _dummy(a), _dummy(b)))
         text = f"np.where({p.text}.astype(bool), {a.text}, {b.text})"
-        return _Val(text, r.dtype, r.ndim == 0,
-                    pure=p.pure and a.pure and b.pure,
-                    refs=p.refs | a.refs | b.refs)
+        return self._derived(text, r, p, a, b)
 
     def cvt_val(self, op: Cvt) -> _Val:
         a = self.operand(op.a)
@@ -906,13 +1152,13 @@ class _FnGen:
         if a.has_const:
             return self.kc.fold(self._meta(_convert, a.const, dt))
         r = np.asarray(self._meta(_convert, _dummy(a), dt))
-        if a.scalar:
+        if a.scalar and not a.wide:
             # _convert wraps out-of-range values via astype (unlike the
             # OverflowError-raising _cast_scalar), so stay on the 0-d path
             text = self.vcast_text(f"np.asarray({a.text})", a.dtype, dt)
         else:
             text = self.vcast_text(a.text, a.dtype, dt)
-        return _Val(text, r.dtype, a.scalar, pure=a.pure, refs=a.refs)
+        return self._derived(text, r, a)
 
     # -- control flow ------------------------------------------------------
     def cond_text(self, cond: _Val) -> str:
@@ -925,10 +1171,43 @@ class _FnGen:
             return cond.text
         return f"{cond.text}.astype(bool)"
 
-    def emit_if(self, op: IfOp, maybe_empty: bool) -> None:
+    def uniform_cond(self, op, cond: _Val) -> bool:
+        """Whether ``op``'s condition is uniform: one value for every
+        active lane, so the construct takes one Python branch with no
+        mask algebra."""
+        if id(op) not in self.an.uniform_conds:
+            return False
+        if not cond.scalar:     # pragma: no cover - the analysis is exact
+            raise UnsupportedKernel("uniform condition is a lane vector")
+        return True
+
+    def emit_if(self, op: IfOp, maybe_empty: bool) -> bool:
+        """Returns whether the mask after the branch is the mask before
+        (the same object)."""
         k = self.uid()
         cond = self.operand(op.cond)
+        keeps = not self.an.retires[id(op)]
+        counts = self.m_counts
         self.guard_open(maybe_empty)
+        if self.uniform_cond(op, cond):
+            # every active lane takes the same arm, under m itself
+            self.w(f"stats.instructions += {self.count_m('rows')}")
+            arms = [(f"if {cond.text}:", op.then_ops),
+                    ("else:", op.else_ops)]
+            if not op.then_ops:
+                arms = [(f"if not {cond.text}:", op.else_ops)]
+            for head, ops in arms:
+                if ops:
+                    self.w(head)
+                    self.ind += 1
+                    self.m_counts = dict(counts)
+                    self.block_ops(ops, False)
+                    self.ind -= 1
+            self.m_counts = counts if keeps else {}
+            self.guard_close(maybe_empty)
+            return keeps
+        if keeps:
+            self.w(f"mb{k} = m")
         self.w(f"cc{k} = {self.cond_text(cond)}")
         self.w(f"tm{k} = m & cc{k}")
         self.w(f"em{k} = m & ~cc{k}")
@@ -939,49 +1218,97 @@ class _FnGen:
         self.w(f"stats.divergent_branches += warp.rows_both(tm{k}, em{k})")
         self.ind -= 1
         self.w(f"stats.instructions += {self.count_m('rows')}")
-        if op.then_ops:
-            self.w(f"if ta{k}:")
-            self.ind += 1
-            self.set_m(f"tm{k}")
-            self.block_ops(op.then_ops, False)
-            self.w(f"tm{k} = m")
-            self.ind -= 1
-        if op.else_ops:
-            self.w(f"if ea{k}:")
-            self.ind += 1
-            self.set_m(f"em{k}")
-            self.block_ops(op.else_ops, False)
-            self.w(f"em{k} = m")
-            self.ind -= 1
-        self.set_m(f"tm{k} | em{k}")
+        for mk, ak, ops in ((f"tm{k}", f"ta{k}", op.then_ops),
+                            (f"em{k}", f"ea{k}", op.else_ops)):
+            if ops:
+                self.w(f"if {ak}:")
+                self.ind += 1
+                self.set_m(mk)
+                self.block_ops(ops, False)
+                if not keeps:
+                    self.w(f"{mk} = m")
+                self.ind -= 1
+        if keeps:
+            # no lane left an arm early: the arms' lanes make up m again
+            self.set_m(f"mb{k}", counts)
+        else:
+            self.set_m(f"tm{k} | em{k}")
         self.guard_close(maybe_empty)
+        return keeps
 
-    def emit_loop(self, op: LoopOp, maybe_empty: bool) -> None:
+    def open_scope(self, op: LoopOp, plans: bool) -> None:
+        ops = op.cond_ops + op.body_ops + (getattr(op, "step_ops", None) or [])
+        written = set()
+        opaque = False
+        for o in walk_ops(ops):
+            dst = getattr(o, "dst", None)
+            if dst is not None:
+                written.add(dst.name)
+            if type(o) is CallOp and o.name not in _PSEUDO:
+                opaque = opaque or bool(self.kc.kernel.subfunctions)
+        slot: list = []
+        self.lines.append((self.ind, slot))
+        self.scopes.append(_Scope(slot, written, plans, opaque))
+
+    def emit_loop(self, op: LoopOp, maybe_empty: bool) -> bool:
+        """Returns whether the mask after the loop is the mask before
+        (the same object)."""
         k = self.uid()
         may_block = loop_may_block(op)
         step_ops = getattr(op, "step_ops", None) or []
         # break/continue/return trackers are emitted only when the loop can
         # actually produce them — the common counted loop carries none
-        has_b, has_c = _scan_bc(op.body_ops)
-        has_ret = self.has_ret
+        f = self.an.loops[id(op)]
+        has_b, has_c, loop_ret = f.brk, f.cont, f.ret
+        # every lane that enters leaves through the test or a break
+        keeps = not f.cond_exits and not loop_ret
+        uniform = (keeps and id(op) in self.an.uniform_conds and not has_b
+                   and not has_c and not f.step_bc)
+        counts = self.m_counts
         self.guard_open(maybe_empty)
-        self.w(f"lv{k} = m")
-        self.w(f"ex{k} = np.zeros(_n, np.bool_)")
+        if uniform:
+            nr = self.count_m("rows")
+            self.count_m("lanes")
+            self.open_scope(op, True)
+            self.m_counts = dict(counts)
+            self.w("while True:")
+            self.ind += 1
+            self.block_ops(op.cond_ops, False)
+            cond = self.operand(op.cond)
+            self.uniform_cond(op, cond)
+            self.w(f"if not {cond.text}: break")
+            self.w(f"stats.loop_iterations += {nr}")
+            self.loop_ctx.append((f"bk{k}", f"cn{k}"))
+            self.block_ops(op.body_ops, False)
+            self.loop_ctx.pop()
+            self.block_ops(step_ops, False)
+            if may_block:
+                self.w(f"yield ('spin', {nr})")
+            self.ind -= 1
+            self.scopes.pop()
+            self.m_counts = counts
+            self.guard_close(maybe_empty)
+            return True
+        self.open_scope(op, False)
+        self.w(f"lv{k} = mb{k} = m" if keeps else f"lv{k} = m")
+        if not keeps:
+            self.w(f"ex{k} = np.zeros(_n, np.bool_)")
         self.w("while True:")
         self.ind += 1
-        if has_ret:
+        if loop_ret:
             self.w(f"lv{k} = lv{k} & ~ret")
         self.w(f"if not lv{k}.any(): break")
         self.set_m(f"lv{k}")
         self.block_ops(op.cond_ops, False)
-        if not all(_is_seg_op(o) for o in op.cond_ops):
-            # control flow in the condition may have retired lanes
+        if f.cond_exits:
+            # the condition may have retired lanes
             self.w(f"lv{k} = m")
             self.w(f"if not lv{k}.any(): break")
         cond = self.operand(op.cond)
         self.w(f"cc{k} = {self.cond_text(cond)}")
         self.w(f"ac{k} = lv{k} & cc{k}")
-        self.w(f"ex{k} |= lv{k} & ~cc{k}")
+        if not keeps:
+            self.w(f"ex{k} |= lv{k} & ~cc{k}")
         self.w(f"if not ac{k}.any(): break")
         self.w(f"nw{k} = rows(ac{k})")
         self.w(f"stats.loop_iterations += nw{k}")
@@ -1001,10 +1328,8 @@ class _FnGen:
         if step_ops:
             self.w(f"if rn{k}.any():")
             self.ind += 1
-            step_b, step_c = _scan_bc(step_ops)
-            if step_b:
+            if f.step_bc:
                 self.w(f"sb{k} = np.zeros(_n, np.bool_)")
-            if step_c:
                 self.w(f"sc{k} = np.zeros(_n, np.bool_)")
             self.set_m(f"rn{k}", body_counts if same_m else None)
             self.loop_ctx.append((f"sb{k}", f"sc{k}"))
@@ -1012,17 +1337,23 @@ class _FnGen:
             self.loop_ctx.pop()
             self.w(f"rn{k} = m")
             self.ind -= 1
-        if has_b:
+        if has_b and not keeps:
             self.w(f"ex{k} |= bk{k}")
         self.w(f"lv{k} = rn{k}")
         if may_block:
             self.w(f"yield ('spin', nw{k})")
         self.ind -= 1
-        if has_ret:
+        self.scopes.pop()
+        if keeps:
+            # the lanes that left through the test or a break make up the
+            # entry mask again
+            self.set_m(f"mb{k}", counts)
+        elif self.has_ret:
             self.set_m(f"(ex{k} | lv{k}) & ~ret")
         else:
             self.set_m(f"ex{k} | lv{k}")
         self.guard_close(maybe_empty)
+        return keeps
 
     def emit_bar(self, op: BarOp, maybe_empty: bool) -> None:
         b = self.operand(op.barrier)
@@ -1047,55 +1378,63 @@ class CompiledKernel:
 
     ``sub_fns`` is indexed like ``WarpExec._subfn_by_id``; a ``None``
     entry means that subfunction fell back to the tree-walker.
-    ``lockstep`` says whether a block's warps may run as one activation
-    (decided once per kernel by :class:`CompiledKernelCache`).
+    ``calls`` names the runtime intrinsics the kernel calls, or is None
+    when a barrier, atomic, printf or subfunction lets its warps
+    synchronise (see :meth:`lockstep`).
     """
 
     kernel: KernelIR
     body_fn: Optional[Callable]
     sub_fns: list
     source: str
-    lockstep: bool = False
+    calls: Optional[tuple] = None
+
+    def lockstep(self, intrinsics: dict) -> bool:
+        """Whether the warps of a block have no way to synchronise or to
+        observe each other's order, given the intrinsic table the launch
+        runs with: no barrier, atomic, printf or subfunction, and every
+        runtime call an intrinsic tagged order-independent
+        (``lockstep_uniform_args``, see
+        :func:`repro.devrt.state.order_independent`).  Such a kernel may
+        run a block's warps in lockstep; the engine's race guard still
+        checks every run for communication through memory."""
+        return (self.body_fn is not None and self.calls is not None
+                and all(getattr(intrinsics.get(name), "lockstep_uniform_args",
+                                None) is not None for name in self.calls))
+
+
+def _runtime_calls(kernel: KernelIR) -> Optional[tuple]:
+    """The runtime intrinsics ``kernel`` calls, or None when its warps can
+    synchronise (a barrier, atomic, printf or subfunction)."""
+    if kernel.subfunctions or any(type(op) is PrintfOp
+                                  for op in walk_ops(kernel.body)):
+        return None
+    calls = set()
+    for op in sync_ops(kernel.body):
+        if type(op) is not CallOp:
+            return None             # a barrier or an atomic
+        if op.name not in _PSEUDO:
+            calls.add(op.name)
+    return tuple(sorted(calls))
 
 
 def compile_kernel(kernel: KernelIR) -> CompiledKernel:
     """Lower ``kernel`` to closures; raises :class:`UnsupportedKernel`."""
-    return _KernelCompiler(kernel).compile()
-
-
-def lockstep_eligible(kernel: KernelIR, intrinsics: dict) -> bool:
-    """Whether the warps of a block have no way to synchronise or to
-    observe each other's order: no barrier, atomic, printf or
-    subfunction, and every runtime call a pseudo-op or an intrinsic
-    tagged order-independent (``lockstep_uniform_args``, see
-    :func:`repro.devrt.state.order_independent`).  Such a kernel may run
-    a block's warps in lockstep; the engine's race guard still checks
-    every run for communication through memory."""
-    if kernel.subfunctions or any(type(op) is PrintfOp
-                                  for op in walk_ops(kernel.body)):
-        return False
-    for op in sync_ops(kernel.body):
-        if type(op) is not CallOp:
-            return False            # a barrier or an atomic
-        if op.name not in _PSEUDO and getattr(
-                intrinsics.get(op.name), "lockstep_uniform_args", None) is None:
-            return False
-    return True
+    ck = _KernelCompiler(kernel).compile()
+    ck.calls = _runtime_calls(kernel)
+    return ck
 
 
 class CompiledKernelCache:
-    """Launch-level memoization keyed on (kernel image id, param dtypes).
+    """One driver's view of the kernel closures, and its counters.
 
-    Shared by every engine a driver creates, so the benchmark steady
-    state (same image, thousands of launches) compiles exactly once.
-    Kernels the compiler rejects are cached as ``None`` (permanent
-    tree-walk fallback, counted in ``fallbacks``).
-
-    ``max_entries`` bounds the cache with LRU eviction.  A standalone run
-    launches a handful of kernels, so the default is unbounded; a
-    long-lived driver (the serving runtime) sets a bound matched to its
-    program population, and an evicted kernel simply recompiles on its
-    next launch.
+    A kernel's closures are compiled on its first launch and kept on its
+    :class:`KernelIR` (attribute ``closures``) for the life of the image,
+    so every driver, engine and program run that launches the same image
+    shares one compile, and they go when the image goes.  A kernel the
+    compiler rejects keeps ``None`` there: a permanent tree-walk
+    fallback.  ``compiled``/``hits``/``fallbacks`` count this driver's
+    lookups.
 
     The engines also count here how blocks ran: ``lockstep_blocks`` as
     one activation over all their warps, ``warp_blocks`` one activation
@@ -1104,46 +1443,29 @@ class CompiledKernelCache:
     ``warp_blocks`` too).
     """
 
-    def __init__(self, max_entries: Optional[int] = None):
-        self._cache: dict = {}
-        self.max_entries = max_entries
+    def __init__(self):
         self.compiled = 0
         self.fallbacks = 0
         self.hits = 0
-        self.evictions = 0
         self.lockstep_blocks = 0
         self.warp_blocks = 0
         self.guard_fallbacks = 0
 
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def get(self, kernel: KernelIR,
-            intrinsics: Optional[dict] = None) -> Optional[CompiledKernel]:
-        key = (id(kernel), tuple(p.dtype for p in kernel.params))
+    def get(self, kernel: KernelIR) -> Optional[CompiledKernel]:
         try:
-            entry = self._cache.pop(key)
-        except KeyError:
+            ck = kernel.closures
+        except AttributeError:
             pass
         else:
             self.hits += 1
-            self._cache[key] = entry        # LRU touch (re-insertion order)
-            return entry[1]
+            return ck
         try:
             ck = compile_kernel(kernel)
             self.compiled += 1
         except Exception:
             ck = None
             self.fallbacks += 1
-        else:
-            ck.lockstep = ck.body_fn is not None and lockstep_eligible(
-                kernel, intrinsics or {})
-        if (self.max_entries is not None
-                and len(self._cache) >= self.max_entries):
-            self._cache.pop(next(iter(self._cache)))
-            self.evictions += 1
-        # keep a reference to the kernel so its id() cannot be recycled
-        self._cache[key] = (kernel, ck)
+        kernel.closures = ck
         return ck
 
 

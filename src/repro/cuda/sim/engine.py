@@ -9,7 +9,7 @@ when ``ceil(n / 32)`` warps have arrived (counts must be multiples of the
 warp size — enforced, since the paper's runtime rounds N up to W*ceil(N/W)).
 
 A compiled kernel whose warps cannot synchronise
-(:func:`~repro.cuda.sim.compile.lockstep_eligible`) instead runs each
+(:meth:`~repro.cuda.sim.compile.CompiledKernel.lockstep`) instead runs each
 block's W warps in lockstep, as one activation over 32·W lanes.  That
 equals the round-robin schedule only if the warps do not talk through
 memory, so a :class:`RaceGuard` watches the run: if one warp wrote a
@@ -28,7 +28,9 @@ import numpy as np
 from repro.cuda.device import DeviceProperties, Dim3
 from repro.cuda.ptx.ir import KernelIR, LoopOp
 from repro.cuda.ptx.lower import LOCAL_WINDOW_BASE, SHARED_WINDOW_BASE
-from repro.cuda.sim.coalesce import row_transactions, transactions
+from repro.cuda.sim.coalesce import (
+    SEGMENT_BYTES, row_transactions, transactions,
+)
 from repro.cuda.sim.compile import CompiledExec, CompiledKernelCache
 from repro.cuda.sim.warp import (
     WARP_SIZE, WarpExec, active_rows, loop_may_block,
@@ -275,6 +277,32 @@ def _clash(spans: tuple) -> bool:
     return False
 
 
+_GLOBAL, _SHARED, _LOCAL = range(3)
+
+
+class _Access:
+    """One resolved memory access: the address and mask objects and the
+    dtype it was resolved for, its space and ``kind``, where its elements
+    live (``array[key]``, ``end`` as :meth:`LinearMemory.locate`), and
+    what it adds to the counters: ``n`` warp-level instructions, ``txns``
+    global transactions, ``lanes`` active lanes, plus the ``active``
+    addresses and their ``warps`` the race guard records.  ``one`` marks
+    a 0-d address (one element for every lane); ``addrs_copy`` is what a
+    guarded store journals."""
+
+    __slots__ = ("addrs", "mask", "dtype", "space", "kind", "array", "key",
+                 "end", "full", "one", "n", "txns", "lanes", "active",
+                 "warps", "addrs_copy")
+
+    def __init__(self, addrs, mask: np.ndarray, dtype: np.dtype):
+        self.addrs = addrs
+        self.mask = mask
+        self.dtype = dtype
+        self.one = False
+        self.txns = 0
+        self.warps = None
+
+
 class FunctionalEngine:
     """Executes kernels functionally on the simulated device."""
 
@@ -327,112 +355,169 @@ class FunctionalEngine:
             return block.lmem
         raise LaunchError(f"kernel accessed unmapped address {addr:#x}")
 
-    def mem_load(self, warp: WarpExec, addrs, dtype: np.dtype, mask: np.ndarray):
-        on = np.count_nonzero(mask)
-        if not on:
-            # fully predicated-off access (divergent warp): no instruction
-            # issues, no transaction is counted — and addrs may be garbage,
-            # so resolve_space must not look at them
-            return np.zeros(mask.size, dtype=dtype)
-        a = np.asarray(addrs, dtype=np.uint64)
-        if a.shape != mask.shape:
-            a = np.broadcast_to(a, mask.shape)
-        full = on == mask.size
-        active = a if full else a[mask]
-        space = self.resolve_space(warp, int(active[0]))
+    def mem_load(self, warp: WarpExec, addrs, dtype: np.dtype,
+                 mask: np.ndarray, plan: Optional[list] = None):
+        """Load ``dtype`` at each active lane's address.  A 0-d address
+        is one element every lane reads (the result is that element); a
+        ``plan`` (a one-slot list) keeps the resolved access for the next
+        call with the same address and mask objects (see :class:`_Access`)."""
         try:
-            got = space.gather(active, dtype)
+            acc = self._access(warp, addrs, dtype, mask, plan)
         except MemoryError_:
             if warp.width == WARP_SIZE:
                 raise
             # the warps of a block-wide access left the first lane's
             # space: each warp resolves (or fails) on its own
+            a = np.broadcast_to(np.asarray(addrs, dtype=np.uint64), mask.shape)
             out = np.zeros(mask.size, dtype=dtype)
             for r, lanes in active_rows(mask):
                 out[lanes] = self.mem_load(warp.row(r), a[lanes], dtype,
                                            mask[lanes])
             return out
-        self._count(warp, space, a, active, dtype.itemsize, mask, False)
-        if full:
+        if acc is None:
+            # fully predicated-off access (divergent warp): no instruction
+            # issues, no transaction is counted — and addrs may be garbage,
+            # so resolve_space must not look at them
+            return (dtype.type(0) if np.ndim(addrs) == 0
+                    else np.zeros(mask.size, dtype=dtype))
+        self._count(acc, False)
+        got = acc.space.read(acc.array, acc.key, dtype)
+        if acc.full:
             return got
         out = np.zeros(mask.size, dtype=dtype)
         out[mask] = got
         return out
 
     def mem_store(self, warp: WarpExec, addrs, dtype: np.dtype, values,
-                  mask: np.ndarray) -> None:
-        on = np.count_nonzero(mask)
-        if not on:
-            return  # predicated off: no instruction, no transaction
-        a = np.asarray(addrs, dtype=np.uint64)
-        if a.shape != mask.shape:
-            a = np.broadcast_to(a, mask.shape)
-        v = np.asarray(values)
-        if v.shape != mask.shape:
-            v = np.broadcast_to(v, mask.shape)
-        full = on == mask.size
-        active = a if full else a[mask]
-        space = self.resolve_space(warp, int(active[0]))
-        if v.dtype.kind == "f" and dtype.kind in "iu":
-            v = np.trunc(v)
-        guard = self.guard
+                  mask: np.ndarray, plan: Optional[list] = None) -> None:
+        """Store ``values`` at each active lane's address; a 0-d address
+        takes the highest active lane's value (the lane that would win a
+        lane-order scatter).  ``plan`` as for :meth:`mem_load`."""
         try:
-            if guard is not None and space is self.gmem:
-                # journal the bytes about to be overwritten
-                guard.undo.append((space, np.array(active) if full
-                                   else active, dtype,
-                                   space.gather(active, dtype)))
-            space.scatter(active, dtype,
-                          (v if full else v[mask]).astype(dtype,
-                                                          casting="unsafe"))
+            acc = self._access(warp, addrs, dtype, mask, plan)
         except MemoryError_:
             if warp.width == WARP_SIZE:
                 raise
-            # the warps of a block-wide access left the first lane's
-            # space: each warp resolves (or fails) on its own
+            a = np.broadcast_to(np.asarray(addrs, dtype=np.uint64), mask.shape)
+            v = np.broadcast_to(np.asarray(values), mask.shape)
             for r, lanes in active_rows(mask):
                 self.mem_store(warp.row(r), a[lanes], dtype, v[lanes],
                                mask[lanes])
             return
-        self._count(warp, space, a, active, dtype.itemsize, mask, True)
+        if acc is None:
+            return  # predicated off: no instruction, no transaction
+        v = np.asarray(values)
+        if acc.one:
+            if v.ndim:
+                v = v[np.flatnonzero(mask)[-1]]
+        else:
+            if v.shape != mask.shape:
+                v = np.broadcast_to(v, mask.shape)
+            if not acc.full:
+                v = v[mask]
+        if v.dtype.kind == "f" and dtype.kind in "iu":
+            v = np.trunc(v)
+        v = v.astype(dtype, casting="unsafe")
+        space = acc.space
+        guard = self.guard
+        if guard is not None and acc.kind == _GLOBAL:
+            # journal the bytes about to be overwritten
+            guard.undo.append((space, acc.addrs_copy, dtype, np.atleast_1d(
+                space.read(acc.array, acc.key, dtype))))
+        space.write(acc.array, acc.key, acc.end, dtype, v)
+        self._count(acc, True)
 
-    def _count(self, warp: WarpExec, space: LinearMemory, addrs, active,
-               itemsize: int, mask: np.ndarray, write: bool) -> None:
+    def _access(self, warp: WarpExec, addrs, dtype: np.dtype,
+                mask: np.ndarray, plan: Optional[list]):
+        """The resolved access of ``addrs`` under ``mask`` (None when no
+        lane is active): its space, where its elements live and what it
+        adds to the counters.  A plan's access is reused only for the
+        same address and mask objects and dtype; compiled loops pass one
+        for an address they hoisted out of a trip whose mask is fixed."""
+        if plan is not None:
+            acc = plan[0]
+            if (acc is not None and acc.addrs is addrs and acc.mask is mask
+                    and acc.dtype is dtype):
+                return acc
+        on = np.count_nonzero(mask)
+        if not on:
+            return None
+        acc = _Access(addrs, mask, dtype)
+        size = dtype.itemsize
+        guard = self.guard
+        if np.ndim(addrs) == 0:
+            # one address: one element read or written for every lane
+            addr = int(np.asarray(addrs, dtype=np.uint64))
+            acc.space = space = self.resolve_space(warp, addr)
+            off = space._check(addr, size)
+            acc.array, acc.key, acc.end = (
+                space.buf[off:off + size].view(dtype), 0, off + size)
+            acc.one = acc.full = True
+            if guard is None:
+                acc.n = warp.rows(mask)
+            else:
+                # one span per active warp
+                row_on = mask.reshape(-1, WARP_SIZE).any(axis=1)
+                acc.warps = warp.warpid[::WARP_SIZE][row_on]
+                acc.n = acc.warps.size
+                acc.active = np.full(acc.n, addr, dtype=np.uint64)
+                acc.addrs_copy = acc.active[:1]
+            acc.txns = acc.n * ((addr + size - 1) // SEGMENT_BYTES
+                                - addr // SEGMENT_BYTES + 1)
+        else:
+            a = np.asarray(addrs, dtype=np.uint64)
+            if a.shape != mask.shape:
+                a = np.broadcast_to(a, mask.shape)
+            acc.full = full = on == mask.size
+            # a full-mask access may alias a register: the guard keeps a
+            # copy
+            active = (np.array(a) if guard is not None else a) if full \
+                else a[mask]
+            acc.addrs_copy = acc.active = active
+            acc.space = space = self.resolve_space(warp, int(active[0]))
+            acc.array, acc.key, acc.end = space.locate(active, dtype)
+            if guard is None:
+                acc.n = warp.rows(mask)
+            else:
+                # the active lanes' warps, ascending (lanes are in warp order)
+                acc.warps = warps = (warp.warpid if full
+                                     else warp.warpid[mask])
+                acc.n = (warp.width // WARP_SIZE if full
+                         else 1 if warps[0] == warps[-1] else warp.rows(mask))
+            if space is self.gmem:
+                if isinstance(warp, CompiledExec):
+                    acc.txns = row_transactions(
+                        active, acc.warps if acc.n > 1 else None, size)
+                else:   # the tree-walker keeps the oracle's per-warp walk
+                    acc.txns = transactions(a, size, mask)
+        acc.lanes = int(on)
+        space = acc.space
+        acc.kind = (_GLOBAL if space is self.gmem
+                    else _SHARED if space.name == "shared" else _LOCAL)
+        if plan is not None:
+            plan[0] = acc
+        return acc
+
+    def _count(self, acc: "_Access", write: bool) -> None:
         """Count one access and, in a lockstep run, record it for the
         race guard (local memory is per-thread: no warp can race there)."""
-        guard = self.guard
-        full = active is addrs
-        if guard is None:
-            warps = None
-            n = warp.rows(mask)
-        else:
-            # the active lanes' warps, ascending (lanes are in warp order)
-            warps = warp.warpid if full else warp.warpid[mask]
-            n = (warp.width // WARP_SIZE if full
-                 else 1 if warps[0] == warps[-1] else warp.rows(mask))
         stats = self.stats
+        n = acc.n
         stats.instructions += n
         if write:
             stats.store_instructions += n
         else:
             stats.load_instructions += n
-        if space is self.gmem:
+        if acc.kind == _GLOBAL:
             stats.global_mem_instructions += n
-            if isinstance(warp, CompiledExec):
-                stats.global_transactions += row_transactions(
-                    active, warps if n > 1 else None, itemsize)
-            else:   # the tree-walker keeps the oracle's per-warp walk
-                stats.global_transactions += transactions(addrs, itemsize,
-                                                          mask)
-        elif space.name == "shared":
-            stats.shared_accesses += active.size
+            stats.global_transactions += acc.txns
+        elif acc.kind == _SHARED:
+            stats.shared_accesses += acc.lanes
         else:
-            stats.local_accesses += active.size
+            stats.local_accesses += acc.lanes
             return
-        if guard is not None:
-            # a full-mask access may alias a register: keep a copy
-            guard.note(np.array(active) if full else active, warps,
-                       itemsize, write)
+        if self.guard is not None:
+            self.guard.note(acc.active, acc.warps, acc.dtype.itemsize, write)
 
     # -- loop classification -----------------------------------------------------
     def loop_may_block(self, loop: LoopOp) -> bool:
@@ -453,7 +538,7 @@ class FunctionalEngine:
     ) -> KernelStats:
         compiled = None
         if self.fastpath != "off":
-            compiled = self.compile_cache.get(kernel, self.intrinsics)
+            compiled = self.compile_cache.get(kernel)
         if compiled is not None and self.fastpath == "verify":
             stats = self._launch_verified(kernel, grid, block, params,
                                           only_blocks, only_warps, compiled)
@@ -551,7 +636,8 @@ class FunctionalEngine:
                  if only_warps is None or w in only_warps]
         # representative-warp sampling (only_warps) is valid only for
         # kernels with no inter-warp communication (the caller checks)
-        lockstep = bool(compiled is not None and compiled.lockstep and picks)
+        lockstep = bool(compiled is not None and picks
+                        and compiled.lockstep(self.intrinsics))
         # the generated closures leave floating-point error handling to
         # this one context: C arithmetic wraps and produces inf/nan
         # silently, like the reference helpers' per-operation errstate

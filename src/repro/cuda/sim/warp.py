@@ -185,10 +185,14 @@ class WarpExec:
                 stats.instructions += 1
                 self.setreg(op.dst, _convert(self.val(op.a), np_dtype(op.dst.dtype)), mask)
             elif cls is Ld:
-                value = self.engine.mem_load(self, self.val(op.addr), np_dtype(op.dst.dtype), mask)
+                # every lane moves its own address, whatever the compiled
+                # path makes of a uniform one
+                addrs = np.broadcast_to(self.val(op.addr), (self.width,))
+                value = self.engine.mem_load(self, addrs, np_dtype(op.dst.dtype), mask)
                 self.setreg(op.dst, value, mask)
             elif cls is St:
-                self.engine.mem_store(self, self.val(op.addr), np_dtype(op.dtype), self.val(op.value), mask)
+                addrs = np.broadcast_to(self.val(op.addr), (self.width,))
+                self.engine.mem_store(self, addrs, np_dtype(op.dtype), self.val(op.value), mask)
             elif cls is Sreg:
                 stats.instructions += 1
                 self.setreg(op.dst, self._sreg(op.sreg), mask)

@@ -99,7 +99,7 @@ def order_independent(uniform_args: int):
     Given arguments that agree across the calling lanes, one call over
     32·W lanes returns and stores exactly what W calls, one per warp in
     warp order, do.  The tag lets a kernel run its blocks in lockstep
-    (:func:`repro.cuda.sim.compile.lockstep_eligible`).  The first
+    (:meth:`repro.cuda.sim.compile.CompiledKernel.lockstep`).  The first
     ``uniform_args`` arguments are read with :func:`uniform`, so they
     decide whether a block-wide call is allowed: when they differ
     between warps, the executor calls once per warp instead."""

@@ -448,14 +448,27 @@ class CudadevModule(DeviceModule):
             # a long-lived registry re-registering a kernel name with a
             # different image (two programs sharing a name): drop the
             # stale loaded function so the next launch loads the new image
-            fn = self._loaded.pop(kernel_name, None)
-            if (fn is not None and not self.lost
-                    and fn.module_handle not in self._pinned):
-                try:
-                    self.driver.cuModuleUnload(fn.module_handle)
-                except CudaError:
-                    pass
+            self._unload(kernel_name)
         self._images[kernel_name] = image
+
+    def unregister_kernel_images(self, images) -> None:
+        """Forget every kernel registered with one of ``images`` and
+        unload its module: a long-lived registry drops the kernels of a
+        program it no longer serves, so nothing keeps their IR (and the
+        simulator's closures on it) alive."""
+        for name in [name for name, image in self._images.items()
+                     if any(image is img for img in images)]:
+            del self._images[name]
+            self._unload(name)
+
+    def _unload(self, kernel_name: str) -> None:
+        fn = self._loaded.pop(kernel_name, None)
+        if (fn is not None and not self.lost
+                and fn.module_handle not in self._pinned):
+            try:
+                self.driver.cuModuleUnload(fn.module_handle)
+            except CudaError:
+                pass
 
     def _loading_phase(self, kernel_name: str) -> CUfunction:
         fn = self._loaded.get(kernel_name)

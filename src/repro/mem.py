@@ -166,81 +166,78 @@ class LinearMemory:
             self.high_water = end
         return self.buf[off:end].view(dt)
 
-    def _elements(self, dt: np.dtype, offs: np.ndarray):
-        """The buffer as an array of ``dt`` when every offset is aligned
-        to the element size, so an access indexes whole elements (one
-        lane per index instead of one per byte); else None."""
+    def locate(self, addrs: np.ndarray, dt: np.dtype,
+               what: str = "access") -> tuple:
+        """Where the ``dt`` elements at per-lane byte addresses ``addrs``
+        live, bounds-checked: ``(array, key, end)`` with ``array[key]``
+        those elements (:meth:`read`/:meth:`write` take the pair) and
+        ``end`` the offset just past the highest byte.  A constant-stride
+        access becomes one strided slice, an aligned one an element
+        index; an unaligned one indexes the bytes of ``buf``, one row per
+        lane.  A caller that repeats the access at the same addresses
+        can keep the result."""
+        offs = addrs.astype(np.int64) - self.base
+        n = offs.size
         size = dt.itemsize
-        if size & (size - 1) or (offs & (size - 1)).any():
-            return None
-        return self.buf[:self.capacity - self.capacity % size].view(dt)
+        if n > 1:
+            start = int(offs[0])
+            step = int(offs[1]) - start
+            if (step > 0 and step % size == 0
+                    and int(offs[-1]) - start == (n - 1) * step
+                    and (offs - start == _strides(n, step)).all()):
+                # constant stride: step > 0 makes offs[0]/offs[-1] the
+                # exact min/max, so the range check needs no reductions
+                end = start + (n - 1) * step + size
+                if start < 0 or end > self.capacity:
+                    raise MemoryError_(f"{self.name}: vector {what} out of range")
+                return (self.buf[start:end].view(dt),
+                        slice(None, None, step // size), end)
+        end = int(offs.max()) + size if n else 0
+        if n and (offs.min() < 0 or end > self.capacity):
+            raise MemoryError_(f"{self.name}: vector {what} out of range")
+        if not size & (size - 1) and not (offs & (size - 1)).any():
+            # aligned: index whole elements (one lane per index)
+            return (self.buf[:self.capacity - self.capacity % size].view(dt),
+                    offs // size, end)
+        return self.buf, offs[:, None] + np.arange(size, dtype=np.int64), end
+
+    @staticmethod
+    def read(array: np.ndarray, key, dt: np.dtype) -> np.ndarray:
+        """The elements a :meth:`locate` result names, as a new array (a
+        register value must not alias the backing buffer)."""
+        got = array[key]
+        if type(key) is slice:
+            return got.copy()
+        if got.ndim == 2:                       # one byte row per lane
+            return got.view(dt).reshape(-1)
+        return got
+
+    def write(self, array: np.ndarray, key, end: int, dt: np.dtype,
+              values) -> None:
+        """Store ``values`` to the elements a :meth:`locate` result names.
+        Lanes store in lane order, so intra-warp write conflicts resolve
+        with the highest lane winning — CUDA leaves the winner undefined;
+        picking a deterministic one keeps runs reproducible."""
+        if end > self.high_water:
+            self.high_water = end
+        if type(key) is not np.ndarray:         # a slice or one element
+            array[key] = values
+        elif key.ndim == 2:
+            array[key] = np.ascontiguousarray(values, dtype=dt).view(
+                np.uint8).reshape(key.shape)
+        else:
+            array[key] = np.ascontiguousarray(values, dtype=dt)
 
     def gather(self, addrs: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """Vector load at per-lane byte addresses (SIMT warp loads)."""
         dt = np.dtype(dtype)
-        offs = addrs.astype(np.int64) - self.base
-        n = offs.size
-        if n > 1:
-            start = int(offs[0])
-            step = int(offs[1]) - start
-            if (step > 0 and step % dt.itemsize == 0
-                    and int(offs[-1]) - start == (n - 1) * step
-                    and (offs - start == _strides(n, step)).all()):
-                # constant-stride warp load: one strided view (copied, so
-                # the register value cannot alias the backing buffer).
-                # step > 0 makes offs[0]/offs[-1] the exact min/max, so the
-                # range check needs no reductions.
-                end = start + (n - 1) * step + dt.itemsize
-                if start < 0 or end > self.capacity:
-                    raise MemoryError_(f"{self.name}: vector load out of range")
-                return self.buf[start:end].view(dt)[::step // dt.itemsize].copy()
-        if n and (offs.min() < 0 or offs.max() + dt.itemsize > self.capacity):
-            raise MemoryError_(f"{self.name}: vector load out of range")
-        elements = self._elements(dt, offs)
-        if elements is not None:
-            return elements[offs // dt.itemsize]
-        idx = offs[:, None] + np.arange(dt.itemsize, dtype=np.int64)[None, :]
-        raw = self.buf[idx.reshape(-1)]
-        return raw.view(dt).reshape(offs.shape)
+        array, key, _end = self.locate(addrs, dt, "load")
+        return self.read(array, key, dt)
 
     def scatter(self, addrs: np.ndarray, dtype: np.dtype, values: np.ndarray) -> None:
-        """Vector store at per-lane byte addresses (SIMT warp stores).
-
-        Lanes scatter in lane order, so intra-warp write conflicts resolve
-        with the highest lane winning — CUDA leaves the winner undefined;
-        picking a deterministic one keeps runs reproducible.
-        """
+        """Vector store at per-lane byte addresses (SIMT warp stores)."""
         dt = np.dtype(dtype)
-        offs = addrs.astype(np.int64) - self.base
-        n = offs.size
-        if n > 1:
-            start = int(offs[0])
-            step = int(offs[1]) - start
-            if (step > 0 and step % dt.itemsize == 0
-                    and int(offs[-1]) - start == (n - 1) * step
-                    and (offs - start == _strides(n, step)).all()):
-                # constant-stride warp store: addresses are distinct, so
-                # the lane-order conflict rule cannot trigger
-                end = start + (n - 1) * step + dt.itemsize
-                if start < 0 or end > self.capacity:
-                    raise MemoryError_(f"{self.name}: vector store out of range")
-                if end > self.high_water:
-                    self.high_water = end
-                self.buf[start:end].view(dt)[::step // dt.itemsize] = values
-                return
-        if n:
-            end = int(offs.max()) + dt.itemsize
-            if offs.min() < 0 or end > self.capacity:
-                raise MemoryError_(f"{self.name}: vector store out of range")
-            self._touch(end)
-        elements = self._elements(dt, offs)
-        if elements is not None:
-            elements[offs // dt.itemsize] = np.ascontiguousarray(values,
-                                                                 dtype=dt)
-            return
-        raw = np.ascontiguousarray(values, dtype=dt).view(np.uint8).reshape(-1, dt.itemsize)
-        idx = offs[:, None] + np.arange(dt.itemsize, dtype=np.int64)[None, :]
-        self.buf[idx.reshape(-1)] = raw.reshape(-1)
+        self.write(*self.locate(addrs, dt, "store"), dt, values)
 
     def snapshot_blocks(self) -> dict[int, np.ndarray]:
         """Copies of all allocated blocks, keyed by address (verify mode)."""

@@ -80,6 +80,9 @@ class CompileCache:
     def __len__(self) -> int:
         return len(self._cache)
 
+    def __contains__(self, key: str) -> bool:
+        return key in self._cache
+
     def get(self, source: str, name: str = "prog",
             config: Optional[OmpiConfig] = None) -> CompiledProgram:
         """The compiled program for ``source``, compiling on first use.

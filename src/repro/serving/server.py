@@ -228,6 +228,8 @@ class OffloadServer:
         self.sessions: dict[int, Session] = {}
         self.stats = ServingStats()
         self._sched: dict[int, StreamPoolScheduler] = {}
+        #: program key -> images of the programs bound to the devices
+        self._bound: dict[str, list] = {}
         self._device_resident = {k: 0 for k in range(num_devices)}
         self._next_sid = 0
         self._next_req = 0
@@ -597,6 +599,8 @@ class OffloadServer:
                     self.stats.cancelled += 1
                     return
             prog = self.compile_cache.get(req.source, req.name, self.config)
+            self._bound[req.program_key] = prog.images
+            self._release_evicted()
             machine = Machine(prog.host_unit,
                               heap_capacity=req.heap_capacity,
                               host_fastpath=self.runtime.host_fastpath)
@@ -644,6 +648,16 @@ class OffloadServer:
                     pass
             session.requests += 1
             self._record_outcome(req, mod, fault_before)
+
+    def _release_evicted(self) -> None:
+        """Unregister from every device the kernels of the programs the
+        compile cache has evicted: a program that comes back recompiles
+        and binds new images, so the old ones (and the simulator's
+        closures hanging off their kernel IR) would only pile up."""
+        for key in [k for k in self._bound if k not in self.compile_cache]:
+            images = list(self._bound.pop(key).values())
+            for mod in self.devices:
+                mod.unregister_kernel_images(images)
 
     #: FaultLog ops that mean the *device* (not the program) degraded
     _FAULT_OPS = ("device_lost", "fallback", "poison")

@@ -286,9 +286,11 @@ def test_figure4_kernels_run_in_lockstep_and_match_the_oracle(name):
         want = app.reference(n, app.seed(n))[out]
         assert np.allclose(run.machine.global_array(out), want,
                            rtol=app.rtol, atol=app.atol)
-    cache = run.ort.cudadev.driver.kernel_cache
-    per_warp = {ck.kernel.name for _kernel, ck in cache._cache.values()
-                if not ck.lockstep}
+    driver = run.ort.cudadev.driver
+    cache = driver.kernel_cache
+    per_warp = {kernel.name for image in prog.images.values()
+                for kernel in image.module.kernels.values()
+                if not kernel.closures.lockstep(driver.intrinsics)}
     master_worker = ({f"{prog.name}_kernel0"} if name == "gramschmidt"
                      else set())
     assert per_warp == master_worker
