@@ -17,14 +17,13 @@ C/CUDA-C source; this package is the Python stand-in for that AST layer.
 """
 
 from repro.cfront.errors import CFrontError, LexError, ParseError, SourceLoc
-from repro.cfront.lexer import Lexer, Token, TokenKind, tokenize
+from repro.cfront.lexer import Token, TokenKind, tokenize
 from repro.cfront.parser import Parser, parse_translation_unit, parse_expression
 from repro.cfront.unparse import unparse
 
 __all__ = [
     "CFrontError",
     "LexError",
-    "Lexer",
     "ParseError",
     "Parser",
     "SourceLoc",

@@ -28,7 +28,7 @@ from repro.cfront.ctypes_ import (
     PointerType, StructType,
 )
 from repro.cfront.errors import ParseError, SourceLoc
-from repro.cfront.lexer import Lexer, Token
+from repro.cfront.lexer import Token, tokenize
 from repro.cfront.tokens import ASSIGN_OPS, TokenKind
 
 #: classification of a pragma's association with code
@@ -82,14 +82,16 @@ _BINOP_PREC = {
 
 
 class Parser:
+    """Parses a token list that ends in an EOF token (:func:`tokenize`
+    output, or a slice of one with an EOF appended)."""
+
     def __init__(
         self,
-        source: str,
+        tokens: list[Token],
         filename: str = "<memory>",
         pragma_classifier: PragmaClassifier | None = None,
-        typedefs: dict[str, CType] | None = None,
     ):
-        self.toks = Lexer(source, filename).tokens()
+        self.toks = tokens
         self.i = 0
         self.filename = filename
         self.classify_pragma = pragma_classifier or default_pragma_classifier
@@ -102,8 +104,6 @@ class Parser:
             "int32_t": INT,
             "DATA_TYPE": BasicType("float"),
         }
-        if typedefs:
-            self.typedefs.update(typedefs)
         self.structs: dict[str, StructType] = {"dim3": DIM3}
         self._anon_struct_count = 0
         #: names of the most recently parsed parameter list (set by
@@ -760,12 +760,13 @@ def parse_translation_unit(
     pragma_classifier: PragmaClassifier | None = None,
 ) -> A.TranslationUnit:
     """Parse a full source buffer into a :class:`TranslationUnit`."""
-    return Parser(source, filename, pragma_classifier).parse_translation_unit()
+    return Parser(tokenize(source, filename), filename,
+                  pragma_classifier).parse_translation_unit()
 
 
 def parse_expression(source: str) -> A.Expr:
     """Parse a standalone expression (testing convenience)."""
-    parser = Parser(source)
+    parser = Parser(tokenize(source))
     expr = parser._parse_expr()
     tok = parser._peek()
     if tok.kind is not TokenKind.EOF:

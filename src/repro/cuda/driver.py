@@ -718,18 +718,11 @@ class CudaDriver:
             if self._kernel_communicates(loaded, fn.name):
                 sampled = engine.launch(kernel, grid, block, params)
             else:
-                picks = self._sample_blocks(grid)
-                # guard-skewed kernels (e.g. "if (j > k)", "if (tid == 0)")
-                # concentrate work in a few warps, so a single-warp sample
-                # extrapolates badly.  Blocks here have at most 8 warps
-                # (256 threads), so running every warp of the 3 sampled
-                # blocks is cheap and unbiased; huge blocks fall back to a
-                # first/middle/last warp spread.
-                wpb = (block.count + 31) // 32
-                warp_picks = None if wpb <= 8 else {0, 1, wpb // 2, wpb - 1}
+                # every warp of the sampled blocks runs: guard-skewed
+                # kernels (e.g. "if (j > k)", "if (tid == 0)") concentrate
+                # work in a few warps, so a warp subset extrapolates badly
                 sampled = engine.launch(kernel, grid, block, params,
-                                        only_blocks=picks,
-                                        only_warps=warp_picks)
+                                        only_blocks=self._sample_blocks(grid))
             run_warps = max(sampled.warps_launched, 1)
             stats = KernelStats(grid=tuple(grid), block=tuple(block),
                                 smem_per_block=sampled.smem_per_block)

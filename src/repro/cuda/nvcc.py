@@ -69,8 +69,3 @@ def compile_device(
     module.arch = arch
     return assemble_cubin(module, arch, linked=link_device_library)
 
-
-def kernel_names(source: str) -> list[str]:
-    unit = parse_translation_unit(source)
-    return [d.name for d in unit.decls
-            if isinstance(d, A.FuncDef) and "__global__" in d.quals]

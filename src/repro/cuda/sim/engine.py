@@ -534,17 +534,16 @@ class FunctionalEngine:
         block,
         params: list,
         only_blocks: Optional[Iterable[tuple[int, int, int]]] = None,
-        only_warps: Optional[set[int]] = None,
     ) -> KernelStats:
         compiled = None
         if self.fastpath != "off":
             compiled = self.compile_cache.get(kernel)
         if compiled is not None and self.fastpath == "verify":
             stats = self._launch_verified(kernel, grid, block, params,
-                                          only_blocks, only_warps, compiled)
+                                          only_blocks, compiled)
         else:
             stats = self._launch(kernel, grid, block, params, only_blocks,
-                                 only_warps, compiled)
+                                 compiled)
         if self.recorder is not None:
             self.recorder.emit(KernelExecActivity(
                 name=kernel.name, grid=stats.grid, block=stats.block,
@@ -561,7 +560,7 @@ class FunctionalEngine:
         return stats
 
     def _launch_verified(self, kernel, grid, block, params, only_blocks,
-                         only_warps, compiled) -> KernelStats:
+                         compiled) -> KernelStats:
         """Differential execution: run the compiled fast path, roll global
         memory back, run the tree-walker, and require bit-identical global
         memory, stdout and ``KernelStats``.
@@ -576,7 +575,7 @@ class FunctionalEngine:
         alloc_snap = dict(gmem._allocated)
         out_mark = len(self.stdout)
         fast = self._launch(kernel, grid, block, params, only_blocks,
-                            only_warps, compiled)
+                            compiled)
         fast_mark = gmem.high_water
         fast_buf = gmem.buf[:fast_mark].copy()
         fast_out = self.stdout[out_mark:]
@@ -585,8 +584,7 @@ class FunctionalEngine:
         gmem._free = free_snap
         gmem._allocated = alloc_snap
         del self.stdout[out_mark:]
-        ref = self._launch(kernel, grid, block, params, only_blocks,
-                           only_warps, None)
+        ref = self._launch(kernel, grid, block, params, only_blocks, None)
         problems = []
         # the mark never falls, so the reference run's mark is >= fast_mark
         if not (np.array_equal(gmem.buf[:fast_mark], fast_buf)
@@ -611,7 +609,6 @@ class FunctionalEngine:
         block,
         params: list,
         only_blocks: Optional[Iterable[tuple[int, int, int]]] = None,
-        only_warps: Optional[set[int]] = None,
         compiled=None,
     ) -> KernelStats:
         grid = Dim3.of(grid)
@@ -632,39 +629,33 @@ class FunctionalEngine:
             )
         else:
             blocks = iter(only_blocks)
-        picks = [w for w in range(nwarps)
-                 if only_warps is None or w in only_warps]
-        # representative-warp sampling (only_warps) is valid only for
-        # kernels with no inter-warp communication (the caller checks)
-        lockstep = bool(compiled is not None and picks
+        lockstep = bool(compiled is not None
                         and compiled.lockstep(self.intrinsics))
         # the generated closures leave floating-point error handling to
         # this one context: C arithmetic wraps and produces inf/nan
         # silently, like the reference helpers' per-operation errstate
         with np.errstate(all="ignore"):
-            self._run_blocks(kernel, grid, block, params, blocks, picks,
+            self._run_blocks(kernel, grid, block, params, blocks, nwarps,
                              compiled, lockstep)
         return stats
 
-    def _run_blocks(self, kernel, grid, block, params, blocks, picks,
+    def _run_blocks(self, kernel, grid, block, params, blocks, nwarps,
                     compiled, lockstep) -> None:
         stats = self.stats
         cache = self.compile_cache
         nthreads = block.count
         if lockstep:
-            lanes = np.concatenate([
-                np.arange(w * WARP_SIZE, (w + 1) * WARP_SIZE, dtype=np.int64)
-                for w in picks])
+            lanes = np.arange(nwarps * WARP_SIZE, dtype=np.int64)
         for block_idx in blocks:
             if not (lockstep and self._run_lockstep(
                     compiled, self._block_ctx(kernel, block_idx, grid, block),
                     lanes, kernel, params)):
                 ctx = self._block_ctx(kernel, block_idx, grid, block)
                 self._run_block([self._warp(compiled, ctx, w, kernel, params)
-                                 for w in picks])
+                                 for w in range(nwarps)])
                 cache.warp_blocks += 1
             stats.blocks_launched += 1
-            stats.warps_launched += len(picks)
+            stats.warps_launched += nwarps
             stats.threads_launched += nthreads
 
     def _warp(self, compiled, ctx: BlockCtx, w: int, kernel: KernelIR,

@@ -17,7 +17,11 @@ def ident(name: str) -> A.Ident:
     return A.Ident(name)
 
 
-def intlit(value: int) -> A.IntLit:
+def intlit(value: int) -> A.Expr:
+    """The literal as the parser builds it: a negative value is unary
+    minus applied to its magnitude."""
+    if value < 0:
+        return A.Unary("-", A.IntLit(-int(value)))
     return A.IntLit(int(value))
 
 

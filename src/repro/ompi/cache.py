@@ -157,8 +157,9 @@ class CompileCache:
 
 
 #: process-wide default cache (what ``compile_cached`` uses when the
-#: caller does not bring its own): the CLI, the serving runtime and ad-hoc
-#: embedders all share it, so a warm process never recompiles a program
+#: caller does not bring its own): the CLI and ad-hoc embedders share it,
+#: so a warm process never recompiles a program (a serving runtime keeps
+#: its own bounded cache)
 GLOBAL_COMPILE_CACHE = CompileCache()
 
 

@@ -14,8 +14,9 @@ Two lowering strategies, exactly as the paper describes:
   registration over barriers B1/B2 and the shared-memory stack.
 
 The generated kernels are plain CUDA C ASTs; the compiler driver unparses
-them to standalone kernel files and feeds the *text* back through the
-nvcc simulator, reproducing the paper's Fig. 2 pipeline honestly.
+them to standalone kernel files (the paper's Fig. 2 artifact) and hands
+the same ASTs to the nvcc simulator; a test checks that the text and the
+AST compile to the same image.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Parser for ``#pragma omp`` payload text -> :class:`Directive`.
 
 The payload has already been captured as a single logical line by the C
-lexer (continuations folded).  Clause argument expressions are parsed with
-the cfront expression parser so that e.g. ``num_teams(n / 32 + 1)`` or
-``map(to: A[0:n*n])`` produce real ASTs.
+lexer (continuations folded).  Clause argument expressions are parsed from
+the payload's own tokens with the cfront expression parser, so that e.g.
+``num_teams(n / 32 + 1)`` or ``map(to: A[0:n*n])`` produce real ASTs.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cfront import astnodes as A
-from repro.cfront.errors import CFrontError
-from repro.cfront.lexer import Lexer, Token
+from repro.cfront.errors import CFrontError, SourceLoc
+from repro.cfront.lexer import Token, tokenize
 from repro.cfront.parser import Parser
 from repro.cfront.tokens import TokenKind
 from repro.openmp.clauses import (
@@ -47,7 +47,7 @@ _REJECTED_REDUCTION_OPS = ("&&", "||")
 class _PragmaParser:
     def __init__(self, text: str):
         self.text = text
-        self.toks = Lexer(text, "<pragma>").tokens()
+        self.toks = tokenize(text, "<pragma>")
         self.i = 0
 
     def _peek(self, offset: int = 0) -> Token:
@@ -92,12 +92,12 @@ class _PragmaParser:
         )
 
     # -- expression fragments -------------------------------------------------
-    def _collect_balanced_until(self, stops: tuple[str, ...]) -> str:
-        """Collect raw token texts (paren balanced) until one of ``stops`` at
+    def _collect_balanced_until(self, stops: tuple[str, ...]) -> list[Token]:
+        """Collect the tokens (paren balanced) up to one of ``stops`` at
         depth 0; the stop token is left unconsumed."""
         depth = 0
         start_tok = self._peek()
-        parts: list[str] = []
+        parts: list[Token] = []
         while True:
             tok = self._peek()
             if tok.kind is TokenKind.EOF:
@@ -114,22 +114,31 @@ class _PragmaParser:
                     raise OmpParseError("unbalanced parentheses in pragma", tok.loc)
             elif depth == 0 and tok.text in stops:
                 break
-            parts.append(tok.text)
+            parts.append(tok)
             self._next()
-        return " ".join(parts)
+        return parts
 
-    def _parse_expr_fragment(self, text: str) -> A.Expr:
+    def _parse_expr_until(self, stops: tuple[str, ...]) -> A.Expr:
+        """Parse the clause expression up to ``stops`` from the pragma's
+        own tokens.  Each token is placed where the space-joined fragment
+        text puts it, so diagnostics read as they name that text."""
+        toks: list[Token] = []
+        col = 1
+        for tok in self._collect_balanced_until(stops):
+            toks.append(Token(tok.kind, tok.text,
+                              SourceLoc("<pragma-expr>", 1, col), tok.value))
+            col += len(tok.text) + 1
+        text = " ".join(tok.text for tok in toks)
+        toks.append(Token(TokenKind.EOF, "",
+                          SourceLoc("<pragma-expr>", 1, len(text) + 1)))
         try:
-            parser = Parser(text, "<pragma-expr>")
+            parser = Parser(toks, "<pragma-expr>")
             expr = parser._parse_expr()
             if parser._peek().kind is not TokenKind.EOF:
                 raise OmpParseError(f"trailing tokens in clause expression {text!r}")
             return expr
         except CFrontError as exc:
             raise OmpParseError(f"bad clause expression {text!r}: {exc}") from exc
-
-    def _parse_expr_until(self, stops: tuple[str, ...]) -> A.Expr:
-        return self._parse_expr_fragment(self._collect_balanced_until(stops))
 
     # -- list items ------------------------------------------------------------
     def _parse_map_item(self) -> MapItem:

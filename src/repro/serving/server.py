@@ -42,7 +42,7 @@ from repro.hostrt.cudadev_host import build_devices
 from repro.hostrt.mapping import MappingError
 from repro.hostrt.ort import Ort
 from repro.mem import MemoryError_
-from repro.ompi.cache import GLOBAL_COMPILE_CACHE, CompileCache, source_key
+from repro.ompi.cache import CompileCache, source_key
 from repro.ompi.config import OmpiConfig, resolve_runtime
 from repro.ompi.diskcache import DiskCompileCache
 from repro.prof.activity import ResilienceActivity, ServingActivity
@@ -69,6 +69,9 @@ POOL_SIZE = 4
 MAX_RESIDENT_FRACTION = 0.5
 #: failover re-executions a request may consume
 MAX_RETRIES = 2
+#: programs a server's own compile cache holds (LRU) when the caller
+#: brings none
+COMPILE_CACHE_ENTRIES = 64
 
 
 def percentile(values, p: float) -> float:
@@ -203,16 +206,15 @@ class OffloadServer:
             serve_deadline=deadline, breaker=breaker)
         self.backends = list(rt.backends)
         num_devices = len(self.backends)
-        if compile_cache is not None:
-            self.compile_cache = compile_cache
-        elif rt.cache_dir is not None:
-            # long-lived server: attach the persistent tier when the
-            # operator configured one, sharing the process-wide warm tier
-            self.compile_cache = CompileCache(
-                disk=DiskCompileCache(rt.cache_dir))
-            self.compile_cache._cache = GLOBAL_COMPILE_CACHE._cache
-        else:
-            self.compile_cache = GLOBAL_COMPILE_CACHE
+        if compile_cache is None:
+            # a long-lived server bounds its own cache, so evicted
+            # programs release their kernels; the persistent tier is
+            # attached when the operator configured one
+            compile_cache = CompileCache(
+                max_entries=COMPILE_CACHE_ENTRIES,
+                disk=(DiskCompileCache(rt.cache_dir)
+                      if rt.cache_dir is not None else None))
+        self.compile_cache = compile_cache
         self.max_batch = int(max_batch)
         self.clock = VirtualClock()
         self.prof = rt.recorder

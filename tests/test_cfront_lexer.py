@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.cfront.errors import LexError
 from repro.cfront.lexer import tokenize
-from repro.cfront.tokens import TokenKind
+from repro.cfront.tokens import KEYWORDS, PUNCTUATORS, TokenKind
 
 
 def kinds(src):
@@ -168,3 +168,136 @@ def test_property_float_literal_roundtrip(x):
 def test_property_identifier_roundtrip(name):
     (tok,) = tokenize(name)[:-1]
     assert tok.kind is TokenKind.IDENT and tok.text == name
+
+
+# -- generated token streams -----------------------------------------------------
+# Each strategy draws one token as (source text, expected kind, expected
+# token text, expected value); the stream test joins them with random
+# whitespace and comments and knows where every token starts.
+
+_SIMPLE_ESC = {"n": "\n", "t": "\t", "r": "\r", "0": "\0", "\\": "\\",
+               "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f",
+               "v": "\v"}
+#: literal characters that are neither quotes, backslashes nor hex digits
+#: (so a following character never extends a \x escape)
+_PLAIN = "ghijkmnopqrstuvwxyzGHIJKLMNOPQRSTUVWXYZ _!#$%&()*+,-./:;<=>?@[]^`{|}~"
+
+
+def _word(text):
+    return (text, TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT,
+            text, None)
+
+
+_idents = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True),
+    st.sampled_from(sorted(KEYWORDS)),
+).map(_word)
+
+
+@st.composite
+def _ints(draw):
+    n = draw(st.integers(min_value=0, max_value=2**40))
+    body = draw(st.sampled_from([str(n), hex(n), hex(n).upper().replace("X", "x"),
+                                 "0X" + format(n, "x")]))
+    suffix = draw(st.sampled_from(["", "u", "U", "l", "L", "ul", "UL", "lu",
+                                   "ll", "LL", "ull", "LLU", "f", "F"]))
+    if body.lower().startswith("0x") and suffix in ("f", "F"):
+        suffix = ""             # an f would be another hex digit
+    if suffix in ("f", "F"):
+        return body + suffix, TokenKind.FLOAT_LIT, body + suffix, float(n)
+    return body + suffix, TokenKind.INT_LIT, body + suffix, n
+
+
+@st.composite
+def _floats(draw):
+    whole = draw(st.from_regex(r"[0-9]{0,4}", fullmatch=True))
+    frac = draw(st.from_regex(r"[0-9]{0,4}", fullmatch=True))
+    exp = draw(st.sampled_from(["", "e5", "E-3", "e+12", "E0"]))
+    if not whole and not frac:
+        whole = "0"
+    body = draw(st.sampled_from([f"{whole}.{frac}" if whole else f".{frac}",
+                                 f"{whole or '1'}{exp or 'e1'}"]))
+    if "." in body:
+        body += exp
+    suffix = draw(st.sampled_from(["", "f", "F", "l", "L"]))
+    return body + suffix, TokenKind.FLOAT_LIT, body + suffix, float(body)
+
+
+_escape = st.one_of(
+    st.sampled_from(sorted(_SIMPLE_ESC)).map(lambda c: ("\\" + c, _SIMPLE_ESC[c])),
+    st.integers(min_value=1, max_value=255).map(
+        lambda v: ("\\x" + format(v, "x"), chr(v))),
+)
+_char_item = st.one_of(st.sampled_from(_PLAIN).map(lambda c: (c, c)), _escape)
+
+
+def _char(item):
+    raw, ch = item
+    return f"'{raw}'", TokenKind.CHAR_LIT, f"'{ch}'", ord(ch)
+
+
+def _string(items):
+    raw = "".join(r for r, _ in items)
+    value = "".join(c for _, c in items)
+    return f'"{raw}"', TokenKind.STRING_LIT, f'"{value}"', value
+
+
+#: (raw, folded) separators inside a directive line
+_PRAGMA_SEPS = [(" ", " "), ("\t", "\t"), ("\\\n", " "), ("\\\r\n", " "),
+                (" /* note */ ", "   "), ("/* two\nlines */", " ")]
+_PRAGMA_WORDS = ["omp", "target", "teams", "parallel", "for", "map(to:",
+                 "a[0:n])", "num_threads(96)", "reduction(+:s)"]
+
+
+@st.composite
+def _pragmas(draw):
+    words = draw(st.lists(st.sampled_from(_PRAGMA_WORDS), min_size=1,
+                          max_size=5))
+    raw, folded = "#pragma", "pragma"
+    for word in words:
+        sep_raw, sep_folded = draw(st.sampled_from(_PRAGMA_SEPS))
+        raw += sep_raw + word
+        folded += sep_folded + word
+    if draw(st.booleans()):
+        raw += "  // trailing comment"
+    payload = folded.strip()[len("pragma"):].strip()
+    indent = draw(st.sampled_from(["", " ", "\t  "]))
+    # a directive starts its own line and ends at the next newline
+    return "\n" + indent + raw + "\n", TokenKind.PRAGMA, payload, None
+
+
+_tokens = st.one_of(
+    _idents, _ints(), _floats(), _char_item.map(_char),
+    st.lists(_char_item, max_size=6).map(_string),
+    st.sampled_from(PUNCTUATORS).map(lambda p: (p, TokenKind.PUNCT, p, None)),
+    _pragmas(),
+)
+_separators = st.tuples(
+    st.sampled_from([" ", "\t", "\n", "\r\n", "  \n\t"]),
+    st.sampled_from(["", "/* c */", "/* multi\nline */", "// line\n"]),
+    st.sampled_from(["", " ", "\n"]),
+).map("".join)
+
+
+def _position(text, pos):
+    line = text.count("\n", 0, pos) + 1
+    return line, pos - (text.rfind("\n", 0, pos) + 1) + 1
+
+
+@given(st.lists(st.tuples(_separators, _tokens), max_size=25), _separators)
+def test_property_generated_token_stream(items, tail):
+    source, expected = "", []
+    for sep, (raw, kind, text, value) in items:
+        source += sep
+        start = len(source) + (raw.index("#") if kind is TokenKind.PRAGMA else 0)
+        expected.append((kind, text, value, _position(source + raw, start)))
+        source += raw
+    source += tail
+    toks = tokenize(source, "gen.c")
+    got = [(t.kind, t.text, t.value, (t.loc.line, t.loc.col)) for t in toks]
+    assert got[:-1] == expected
+    assert all(type(t.value) is type(e[2]) for t, e in zip(toks, expected))
+    eof = toks[-1]
+    assert eof.kind is TokenKind.EOF
+    assert (eof.loc.line, eof.loc.col) == _position(source, len(source))
+    assert all(t.loc.filename == "gen.c" for t in toks)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cuda.device import JETSON_NANO_GPU, JETSON_TX2_GPU
 from repro.cuda.errors import CudaError
-from repro.cuda.nvcc import NvccError, compile_device, kernel_names
+from repro.cuda.nvcc import NvccError, compile_device
 from repro.cuda.ptx.images import (
     CubinImage, PtxImage, assemble_cubin, identify_image,
 )
@@ -17,10 +17,6 @@ __global__ void k2(float *p, int n) {
     if (i < n) p[i] = 2.0f;
 }
 """
-
-
-def test_kernel_names():
-    assert kernel_names(SRC) == ["k1", "k2"]
 
 
 def test_compile_modes_produce_distinct_image_types():

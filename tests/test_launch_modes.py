@@ -88,6 +88,34 @@ def test_merge_scaled_scales_exactly_the_counters(name):
     assert getattr(acc, name) == want
 
 
+def test_sampled_launch_runs_every_warp_of_its_sampled_blocks(monkeypatch):
+    """A sampled launch of 512-thread blocks runs all 16 warps of each
+    sampled block, not a subset of them."""
+    drv = CudaDriver(launch_mode="sample")
+    drv.cuInit(0)
+    drv.cuCtxSetCurrent(drv.cuDevicePrimaryCtxRetain(drv.cuDeviceGet(0)))
+    fn = drv.cuModuleGetFunction(
+        drv.cuModuleLoadData(compile_device(SCALE, "m")), "scale")
+    n = 8 * 512
+    ptr = drv.cuMemAlloc(4 * n)
+    drv.cuMemcpyHtoD(ptr, np.ones(n, dtype=np.float32))
+    runs = []
+    launch = FunctionalEngine.launch
+
+    def probe(engine, *args, **kwargs):
+        runs.append(launch(engine, *args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(FunctionalEngine, "launch", probe)
+    stats = drv.cuLaunchKernel(fn, 8, 1, 1, 512, 1, 1,
+                               kernel_params=[ptr, np.float32(2.0),
+                                              np.int32(n)])
+    (sampled,) = runs
+    assert sampled.blocks_launched == drv.sample_blocks == 3
+    assert sampled.warps_launched == 3 * 16
+    assert stats.warps_launched == 8 * 16
+
+
 # -- verify mode ----------------------------------------------------------------
 
 def _scale_launch(fastpath):

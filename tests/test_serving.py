@@ -3,7 +3,9 @@ shared compile cache, deterministic admission and batching, session warm
 state with digest-gated transfer elision, tenant quotas and eviction,
 and leak-free session teardown."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -117,6 +119,30 @@ def test_compile_cached_uses_global_cache():
     p1 = compile_cached(VADD, "vadd_global_cache_probe")
     p2 = compile_cached(VADD, "vadd_global_cache_probe")
     assert p1.host_unit is p2.host_unit
+
+
+def test_default_server_cache_is_bounded_and_releases_evicted_kernels(
+        monkeypatch):
+    """A server built without a compile cache keeps its own bounded one:
+    an evicted program's compiled closures are unreachable afterwards."""
+    from repro.serving import server as server_module
+    monkeypatch.setattr(server_module, "COMPILE_CACHE_ENTRIES", 1,
+                        raising=False)
+    server = OffloadServer(num_devices=1)
+    session = server.open_session()
+    server.submit(session, VADD, name="gone")
+    server.drain()
+    prog = server.compile_cache.get(VADD, "gone", server.config)
+    kernel = prog.images["gone_kernel0"].module.kernels["gone_kernel0"]
+    body = weakref.ref(kernel.closures.body_fn)
+    del prog, kernel
+    req = server.submit(session, SCALE, name="next")
+    server.drain()
+    assert req.status == "done"
+    assert server.compile_cache.stats["evictions"] == 1
+    gc.collect()
+    assert body() is None
+    server.close()
 
 
 # ---------------------------------------------------------------------------
